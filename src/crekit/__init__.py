@@ -14,7 +14,6 @@ from .decision import (
     OverlapVerdict,
     equivalent,
     includes,
-    includes_reference,
     overlaps,
     union_alphabet,
 )
@@ -57,7 +56,6 @@ from .partition import (
 )
 from .syntax import (
     EPSILON,
-    Alphabet,
     Alt,
     Concat,
     CountRange,

@@ -8,20 +8,29 @@ predicate is true (or the command simply succeeded), 1 when it is false,
 
 Expressions may be given inline or as ``@path`` to read from a file; words
 use the space-separated symbol serialization with ``%`` for the empty word.
+
+Each subcommand is one row of ``COMMANDS``: its help text, its positional
+arguments, the limit flags it honours and a function that turns the parsed
+arguments into results ``(verdict, witness, text lines, report)``.  ``main``
+does the rest: parsing, reading and validating arguments, printing and the
+exit status.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from typing import NamedTuple
 
 from .decision import DEFAULT_STATE_BUDGET, equivalent, includes, overlaps
 from .engine import (
     DEFAULT_EXPANSION_CAP,
     DEFAULT_WORD_LIMIT,
+    Word,
     enumerate_words,
     length_set,
     member,
@@ -49,77 +58,70 @@ EXIT_RESOURCE = 3
 
 _RESOURCE_CODES = {"EXPANSION_CAP", "STATE_BUDGET", "RESULT_TOO_LARGE"}
 
-
-@dataclass(frozen=True)
-class CliConfig:
-    expansion_cap: int = DEFAULT_EXPANSION_CAP
-    state_budget: int = DEFAULT_STATE_BUDGET
-    output_format: str = "text"
-    enum_word_limit: int = DEFAULT_WORD_LIMIT
-
-    def __post_init__(self):
-        for name in ("expansion_cap", "state_budget", "enum_word_limit"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.output_format not in ("text", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "CliConfig":
-        cap = args.cap
-        if cap is None:
-            env = os.environ.get(ENV_EXPANSION_CAP)
-            cap = int(env) if env else DEFAULT_EXPANSION_CAP
-        return cls(
-            expansion_cap=cap,
-            state_budget=args.budget if args.budget is not None else DEFAULT_STATE_BUDGET,
-            output_format=args.format,
-            enum_word_limit=args.limit if args.limit is not None else DEFAULT_WORD_LIMIT,
-        )
+Result = tuple[bool, "Word | None", list[str], "dict | None"]
 
 
-def _envelope(verdict=False, witness=None, error=None, report=None) -> dict:
-    return {
-        "verdict": verdict,
-        "witness": list(witness) if witness is not None else None,
-        "error": error,
-        "report": report,
-    }
+class UsageError(CrekitError):
+    """Malformed command line, out-of-range count or unreadable input file."""
+
+    code = "USAGE"
 
 
-class _Output:
-    """Collects text lines and the JSON envelope; emits one of them."""
+class _Parser(argparse.ArgumentParser):
+    """Reports its errors through ``main``'s handler instead of exiting."""
 
-    def __init__(self, config: CliConfig):
-        self.config = config
-        self.lines: list[str] = []
-        self.envelope = _envelope()
-        self.streamed = False  # verify-suite prints as it goes
-
-    def text(self, line: str):
-        self.lines.append(line)
-
-    def emit(self):
-        if self.streamed:
-            return
-        if self.config.output_format == "json":
-            print(json.dumps(self.envelope))
-        else:
-            for line in self.lines:
-                print(line)
+    def error(self, message):
+        raise UsageError(message)
 
 
-def _read_arg(value: str) -> str:
-    """Inline argument, or @path indirection."""
-    if value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as handle:
+def _read(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    return value
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
 
 
-def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _inline(value: str) -> str:
+    """Inline argument, or @path indirection."""
+    return _read(value[1:]) if value.startswith("@") else value
+
+
+def _expr(value: str):
+    return parse_expr(_inline(value))
+
+
+# positional argument -> how main reads it; the others are integers
+_READERS = {
+    "expr": _expr,
+    "left": _expr,
+    "right": _expr,
+    "word": lambda value: parse_word(_inline(value)),
+    "weights_file": lambda value: parse_weights(_read(value)),
+}
+
+# limit flag -> (help, default); a cap not given as a flag comes from the
+# environment, which main checks for every command
+_FLAGS = {
+    "cap": ("expansion node cap", None),
+    "budget": ("product-state budget", DEFAULT_STATE_BUDGET),
+    "limit": ("enumeration word limit", DEFAULT_WORD_LIMIT),
+}
+
+
+def _env_cap() -> int:
+    text = os.environ.get(ENV_EXPANSION_CAP)
+    if not text:
+        return DEFAULT_EXPANSION_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise UsageError(
+            f"{ENV_EXPANSION_CAP} must be an integer of at least 1, got {text!r}"
+        )
+    return cap
 
 
 def _conflict_dict(conflict) -> dict | None:
@@ -175,289 +177,199 @@ def _report_line(report: TheoremReport) -> str:
     )
 
 
-# --- subcommand handlers -----------------------------------------------------
+# --- subcommands ---------------------------------------------------------------
 
 
-def _cmd_parse(args, config: CliConfig, out: _Output) -> int:
-    expr = parse_expr(_read_arg(args.expr))
-    rendered = render_expr(expr)
-    out.text(rendered)
-    out.envelope = _envelope(verdict=True, report={"expr": rendered})
-    return EXIT_TRUE
+def _parse(a) -> Iterator[Result]:
+    rendered = render_expr(a.expr)
+    yield True, None, [rendered], {"expr": rendered}
 
 
-def _cmd_member(args, config: CliConfig, out: _Output) -> int:
-    expr = parse_expr(_read_arg(args.expr))
-    word = parse_word(_read_arg(args.word))
-    ok = member(expr, word, cap=config.expansion_cap)
-    out.text("true" if ok else "false")
-    out.envelope = _envelope(verdict=ok)
-    return EXIT_TRUE if ok else EXIT_FALSE
+def _member(a) -> Iterator[Result]:
+    ok = member(a.expr, a.word, cap=a.cap)
+    yield ok, None, ["true" if ok else "false"], None
 
 
-def _cmd_enumerate(args, config: CliConfig, out: _Output) -> int:
-    expr = parse_expr(_read_arg(args.expr))
-    words = enumerate_words(
-        expr,
-        args.maxlen,
-        cap=config.expansion_cap,
-        word_limit=config.enum_word_limit,
-    )
-    for word in words:
-        out.text(render_word(word))
-    out.envelope = _envelope(verdict=True, report={"words": [list(w) for w in words]})
-    return EXIT_TRUE
+def _enumerate(a) -> Iterator[Result]:
+    words = enumerate_words(a.expr, a.maxlen, cap=a.cap, word_limit=a.limit)
+    report = {"words": [list(w) for w in words]}
+    yield True, None, [render_word(w) for w in words], report
 
 
-def _cmd_lengths(args, config: CliConfig, out: _Output) -> int:
-    expr = parse_expr(_read_arg(args.expr))
-    lengths = length_set(expr, args.cutoff)
+def _lengths(a) -> Iterator[Result]:
+    lengths = length_set(a.expr, a.cutoff)
     members = sorted(lengths.members)
     line = " ".join(map(str, members)) if members else "(none)"
     if lengths.saturated:
         line += " (saturated)"
-    out.text(line)
-    out.envelope = _envelope(
-        verdict=True, report={"members": members, "saturated": lengths.saturated}
-    )
-    return EXIT_TRUE
+    yield True, None, [line], {"members": members, "saturated": lengths.saturated}
 
 
-def _cmd_unambiguous(args, config: CliConfig, out: _Output) -> int:
-    expr = parse_expr(_read_arg(args.expr))
-    verdict = check_unambiguous(expr)
+def _unambiguous(a) -> Iterator[Result]:
+    verdict = check_unambiguous(a.expr)
     if verdict.unambiguous:
-        out.text("unambiguous")
+        line = "unambiguous"
     else:
-        out.text(f"ambiguous: {verdict.conflict.describe()}")
-    out.envelope = _envelope(
-        verdict=verdict.unambiguous,
-        report={"conflict": _conflict_dict(verdict.conflict)},
-    )
-    return EXIT_TRUE if verdict.unambiguous else EXIT_FALSE
+        line = f"ambiguous: {verdict.conflict.describe()}"
+    report = {"conflict": _conflict_dict(verdict.conflict)}
+    yield verdict.unambiguous, None, [line], report
 
 
-def _cmd_include(args, config: CliConfig, out: _Output) -> int:
-    left = parse_expr(_read_arg(args.left))
-    right = parse_expr(_read_arg(args.right))
-    verdict = includes(
-        left, right, cap=config.expansion_cap, state_budget=config.state_budget
-    )
+def _witness(word: Word) -> str:
+    return f"witness: {render_word(word)}"
+
+
+def _include(a) -> Iterator[Result]:
+    verdict = includes(a.left, a.right, cap=a.cap, state_budget=a.budget)
     if verdict.holds:
-        out.text("holds")
+        yield True, None, ["holds"], None
     else:
-        out.text("fails")
-        out.text(f"witness: {render_word(verdict.witness)}")
-    out.envelope = _envelope(verdict=verdict.holds, witness=verdict.witness)
-    return EXIT_TRUE if verdict.holds else EXIT_FALSE
+        yield False, verdict.witness, ["fails", _witness(verdict.witness)], None
 
 
-def _cmd_overlap(args, config: CliConfig, out: _Output) -> int:
-    left = parse_expr(_read_arg(args.left))
-    right = parse_expr(_read_arg(args.right))
-    verdict = overlaps(left, right, cap=config.expansion_cap)
+def _overlap(a) -> Iterator[Result]:
+    verdict = overlaps(a.left, a.right, cap=a.cap)
     if verdict.overlaps:
-        out.text("overlaps")
-        out.text(f"witness: {render_word(verdict.witness)}")
+        yield True, verdict.witness, ["overlaps", _witness(verdict.witness)], None
     else:
-        out.text("disjoint")
-    out.envelope = _envelope(verdict=verdict.overlaps, witness=verdict.witness)
-    return EXIT_TRUE if verdict.overlaps else EXIT_FALSE
+        yield False, None, ["disjoint"], None
 
 
-def _cmd_equiv(args, config: CliConfig, out: _Output) -> int:
-    left = parse_expr(_read_arg(args.left))
-    right = parse_expr(_read_arg(args.right))
-    verdict = equivalent(
-        left, right, cap=config.expansion_cap, state_budget=config.state_budget
-    )
+def _equiv(a) -> Iterator[Result]:
+    verdict = equivalent(a.left, a.right, cap=a.cap, state_budget=a.budget)
     if verdict.equivalent:
-        out.text("equivalent")
+        yield True, None, ["equivalent"], None
     else:
-        out.text("not equivalent")
-        out.text(
-            f"witness: {render_word(verdict.witness)} (only in the {verdict.side} language)"
-        )
-    out.envelope = _envelope(verdict=verdict.equivalent, witness=verdict.witness)
-    if verdict.side is not None:
-        out.envelope["report"] = {"side": verdict.side}
-    return EXIT_TRUE if verdict.equivalent else EXIT_FALSE
+        where = f"(only in the {verdict.side} language)"
+        lines = ["not equivalent", f"{_witness(verdict.witness)} {where}"]
+        yield False, verdict.witness, lines, {"side": verdict.side}
 
 
-def _cmd_reduce(args, config: CliConfig, out: _Output) -> int:
-    inst = parse_weights(_read_file(args.weights_file))
-    e1, e2 = build_expressions(inst)
-    out.text(render_expr(e1))
-    out.text(render_expr(e2))
-    out.envelope = _envelope(
-        verdict=True, report={"e1": render_expr(e1), "e2": render_expr(e2)}
-    )
-    return EXIT_TRUE
+def _reduce(a) -> Iterator[Result]:
+    e1, e2 = map(render_expr, build_expressions(a.weights_file))
+    yield True, None, [e1, e2], {"e1": e1, "e2": e2}
 
 
-def _cmd_partition(args, config: CliConfig, out: _Output) -> int:
-    inst = parse_weights(_read_file(args.weights_file))
+def _partition(a) -> Iterator[Result]:
     exists = decide_partition_via_inclusion(
-        inst, cap=config.expansion_cap, state_budget=config.state_budget
+        a.weights_file, cap=a.cap, state_budget=a.budget
     )
-    out.text("yes" if exists else "no")
-    out.envelope = _envelope(verdict=exists)
-    return EXIT_TRUE if exists else EXIT_FALSE
+    yield exists, None, ["yes" if exists else "no"], None
 
 
-def _cmd_verify(args, config: CliConfig, out: _Output) -> int:
-    inst = parse_weights(_read_file(args.weights_file))
-    report = verify_theorem_instance(
-        inst, cap=config.expansion_cap, state_budget=config.state_budget
-    )
-    out.text(_report_line(report))
+def _verify(a) -> Iterator[Result]:
+    report = verify_theorem_instance(a.weights_file, cap=a.cap, state_budget=a.budget)
+    lines = [_report_line(report)]
     if report.inclusion_witness is not None:
-        out.text(f"witness: {render_word(report.inclusion_witness)}")
-    out.envelope = _envelope(
-        verdict=report.all_checks_pass,
-        witness=report.inclusion_witness,
-        report=_report_dict(report),
-    )
-    return EXIT_TRUE if report.all_checks_pass else EXIT_FALSE
+        lines.append(_witness(report.inclusion_witness))
+    yield report.all_checks_pass, report.inclusion_witness, lines, _report_dict(report)
 
 
-def _cmd_verify_suite(args, config: CliConfig, out: _Output) -> int:
-    out.streamed = True
-    checked = 0
-    mismatches = 0
-    for inst in even_total_instances(args.kmax, args.wmax):
-        report = verify_theorem_instance(
-            inst, cap=config.expansion_cap, state_budget=config.state_budget
-        )
+def _verify_suite(a) -> Iterator[Result]:
+    checked = mismatches = 0
+    for inst in even_total_instances(a.kmax, a.wmax):
+        report = verify_theorem_instance(inst, cap=a.cap, state_budget=a.budget)
         checked += 1
-        if not report.all_checks_pass:
-            mismatches += 1
-        # stream one line per instance so partial progress survives interruption
-        if config.output_format == "json":
-            print(
-                json.dumps(
-                    _envelope(
-                        verdict=report.all_checks_pass, report=_report_dict(report)
-                    )
-                ),
-                flush=True,
-            )
-        else:
-            print(_report_line(report), flush=True)
-    summary = f"checked {checked} instances, {mismatches} mismatches"
-    print(summary, file=sys.stderr)
-    return EXIT_TRUE if mismatches == 0 else EXIT_FALSE
+        mismatches += not report.all_checks_pass
+        yield report.all_checks_pass, None, [_report_line(report)], _report_dict(report)
+    print(f"checked {checked} instances, {mismatches} mismatches", file=sys.stderr)
 
 
-# --- argument parsing ---------------------------------------------------------
+class Command(NamedTuple):
+    help: str
+    args: tuple[str, ...]  # positional arguments
+    flags: tuple[str, ...]  # the limit flags the command honours
+    run: Callable[[argparse.Namespace], Iterator[Result]]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, metavar="N", help="expansion node cap")
-    common.add_argument("--budget", type=int, metavar="N", help="product-state budget")
-    common.add_argument("--limit", type=int, metavar="N", help="enumeration word limit")
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+_DECIDE = ("cap", "budget")
 
-    parser = argparse.ArgumentParser(
+COMMANDS = {
+    "parse": Command("parse and re-render", ("expr",), (), _parse),
+    "member": Command("word membership", ("expr", "word"), ("cap",), _member),
+    "enumerate": Command(
+        "list words up to a length", ("expr", "maxlen"), ("cap", "limit"), _enumerate
+    ),
+    "lengths": Command("word lengths up to a cutoff", ("expr", "cutoff"), (), _lengths),
+    "unambiguous": Command("weak unambiguity check", ("expr",), (), _unambiguous),
+    "include": Command("language inclusion", ("left", "right"), _DECIDE, _include),
+    "overlap": Command("language overlap", ("left", "right"), ("cap",), _overlap),
+    "equiv": Command("language equivalence", ("left", "right"), _DECIDE, _equiv),
+    "reduce": Command("print E1 and E2 for weights", ("weights_file",), (), _reduce),
+    "partition": Command(
+        "decide PARTITION via inclusion", ("weights_file",), _DECIDE, _partition
+    ),
+    "verify": Command("verify one instance", ("weights_file",), _DECIDE, _verify),
+    "verify-suite": Command(
+        "verify all small instances", ("kmax", "wmax"), _DECIDE, _verify_suite
+    ),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="crekit",
         description="Counted regular expressions: semantics, unambiguity, "
         "inclusion, and PARTITION via inclusion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", parents=[common], help="parse and re-render")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_parse)
-
-    p = sub.add_parser("member", parents=[common], help="word membership")
-    p.add_argument("expr")
-    p.add_argument("word")
-    p.set_defaults(handler=_cmd_member)
-
-    p = sub.add_parser("enumerate", parents=[common], help="list words up to a length")
-    p.add_argument("expr")
-    p.add_argument("maxlen", type=int)
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("lengths", parents=[common], help="word lengths up to a cutoff")
-    p.add_argument("expr")
-    p.add_argument("cutoff", type=int)
-    p.set_defaults(handler=_cmd_lengths)
-
-    p = sub.add_parser("unambiguous", parents=[common], help="weak unambiguity check")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_unambiguous)
-
-    p = sub.add_parser("include", parents=[common], help="language inclusion")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_include)
-
-    p = sub.add_parser("overlap", parents=[common], help="language overlap")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_overlap)
-
-    p = sub.add_parser("equiv", parents=[common], help="language equivalence")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_equiv)
-
-    p = sub.add_parser("reduce", parents=[common], help="print E1 and E2 for weights")
-    p.add_argument("weights_file")
-    p.set_defaults(handler=_cmd_reduce)
-
-    p = sub.add_parser(
-        "partition", parents=[common], help="decide PARTITION via inclusion"
-    )
-    p.add_argument("weights_file")
-    p.set_defaults(handler=_cmd_partition)
-
-    p = sub.add_parser("verify", parents=[common], help="verify one instance")
-    p.add_argument("weights_file")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser(
-        "verify-suite", parents=[common], help="verify all small instances"
-    )
-    p.add_argument("kmax", type=int)
-    p.add_argument("wmax", type=int)
-    p.set_defaults(handler=_cmd_verify_suite)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg in command.args:
+            p.add_argument(arg, type=None if arg in _READERS else int)
+        for flag in command.flags:
+            help_text, default = _FLAGS[flag]
+            p.add_argument(
+                f"--{flag}", type=int, metavar="N", default=default, help=help_text
+            )
+        p.add_argument(
+            "--format", choices=("text", "json"), default="text", help="output format"
+        )
+        p.set_defaults(row=command)
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = CliConfig.from_args(args)
-    except ValueError as exc:
-        print(f"error[USAGE]: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _envelope(verdict=False, witness=None, error=None, report=None) -> dict:
+    return {
+        "verdict": verdict,
+        "witness": list(witness) if witness is not None else None,
+        "error": error,
+        "report": report,
+    }
 
-    out = _Output(config)
+
+def main(argv=None) -> int:
+    output_format = "text"
     try:
-        status = args.handler(args, config, out)
+        args = _parser().parse_args(argv)
+        output_format = args.format
+        command = args.row
+        for name in ("cap", "budget", "limit", "cutoff"):
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                label = name if name in command.args else f"--{name}"
+                raise UsageError(f"{label} must be at least 1, got {value}")
+        if getattr(args, "cap", None) is None:
+            args.cap = _env_cap()
+        for name in command.args:
+            if name in _READERS:
+                setattr(args, name, _READERS[name](getattr(args, name)))
+        status = EXIT_TRUE
+        # flush each result so that verify-suite's progress survives interruption
+        for verdict, witness, lines, report in command.run(args):
+            if output_format == "json":
+                print(json.dumps(_envelope(verdict, witness, None, report)), flush=True)
+            elif lines:
+                print(*lines, sep="\n", flush=True)
+            if not verdict:
+                status = EXIT_FALSE
+        return status
     except CrekitError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        if config.output_format == "json":
-            print(
-                json.dumps(
-                    _envelope(error={"code": exc.code, "message": str(exc)})
-                )
-            )
+        if output_format == "json":
+            print(json.dumps(_envelope(error={"code": exc.code, "message": str(exc)})))
         return EXIT_RESOURCE if exc.code in _RESOURCE_CODES else EXIT_USAGE
-    except OSError as exc:
-        print(f"error[USAGE]: {exc}", file=sys.stderr)
-        if config.output_format == "json":
-            print(json.dumps(_envelope(error={"code": "USAGE", "message": str(exc)})))
-        return EXIT_USAGE
-    out.emit()
-    return status
 
 
 if __name__ == "__main__":

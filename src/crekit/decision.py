@@ -9,10 +9,6 @@ discovered product states is charged against an explicit budget --
 inclusion of counted expressions is genuinely hard, and a blowup must fail
 loudly rather than hang.
 
-``includes_reference`` is a deliberately naive second route (enumerate the
-left language, membership-test the right) kept independent so the two
-implementations can be checked against each other.
-
 A symbol occurring in only one of the two expressions still counts as a
 shared alphabet symbol; the other side simply accepts no word containing
 it.
@@ -23,15 +19,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .engine import (
-    DEFAULT_EXPANSION_CAP,
-    DEFAULT_WORD_LIMIT,
-    Word,
-    expand,
-    glushkov,
-    language_iter,
-)
-from .errors import ResultTooLarge, StateBudgetExceeded
+from .engine import DEFAULT_EXPANSION_CAP, Word, expand, glushkov
+from .errors import StateBudgetExceeded
 from .syntax import Expr, alphabet_of
 
 DEFAULT_STATE_BUDGET = 1_000_000
@@ -39,16 +28,10 @@ DEFAULT_STATE_BUDGET = 1_000_000
 
 @dataclass(frozen=True)
 class InclusionVerdict:
-    """Outcome of an inclusion test; a witness is in L(left) - L(right).
-
-    ``checked_up_to`` is None for exact verdicts; when the reference
-    procedure ran with a length bound too small to be conclusive, it holds
-    that bound and the verdict means "no counterexample up to this length".
-    """
+    """Outcome of an inclusion test; a witness is in L(left) - L(right)."""
 
     holds: bool
     witness: Word | None = None
-    checked_up_to: int | None = None
 
     def __post_init__(self):
         if self.holds != (self.witness is None):
@@ -150,34 +133,6 @@ def includes(
                     return InclusionVerdict(holds=False, witness=_trace(parents, pair))
                 queue.append(pair)
     return InclusionVerdict(holds=True)
-
-
-def includes_reference(
-    left: Expr,
-    right: Expr,
-    len_bound: int,
-    *,
-    cap: int = DEFAULT_EXPANSION_CAP,
-    word_limit: int = DEFAULT_WORD_LIMIT,
-) -> InclusionVerdict:
-    """Inclusion by exhaustive enumeration of L(left) up to ``len_bound``.
-
-    Witness selection matches ``includes``.  A holds-verdict obtained with a
-    bound below the state-count product of the two automata is only sound up
-    to that bound and carries it in ``checked_up_to``.
-    """
-    syms = union_alphabet(left, right)
-    a = glushkov(expand(left, cap))
-    b = glushkov(expand(right, cap))
-    seen = 0
-    for word in language_iter(left, len_bound, cap=cap, symbol_order=syms):
-        seen += 1
-        if seen > word_limit:
-            raise ResultTooLarge(word_limit)
-        if not b.accepts(word):
-            return InclusionVerdict(holds=False, witness=word)
-    complete = len_bound >= a.state_count * b.state_count
-    return InclusionVerdict(holds=True, checked_up_to=None if complete else len_bound)
 
 
 def overlaps(

@@ -166,27 +166,7 @@ def rep(inner: Expr, low: int, high: int | None) -> Expr:
     return Rep(inner, count)
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Symbols of an expression in first-occurrence order."""
-
-    symbols: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ValueError("duplicate symbols in alphabet")
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def __contains__(self, name):
-        return name in self.symbols
-
-
-def alphabet_of(e: Expr) -> Alphabet:
+def alphabet_of(e: Expr) -> tuple[str, ...]:
     """Distinct symbols of ``e`` in order of first occurrence."""
     seen: dict[str, None] = {}
 
@@ -203,7 +183,7 @@ def alphabet_of(e: Expr) -> Alphabet:
             walk(x.inner)
 
     walk(e)
-    return Alphabet(tuple(seen))
+    return tuple(seen)
 
 
 # --- tokenizer -------------------------------------------------------------

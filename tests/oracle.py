@@ -1,13 +1,20 @@
 """Independent oracles for the test suite.
 
-These deliberately avoid the library's automaton pipeline: the language
-oracle is a direct denotational recursion over the AST, and the partition
-oracle enumerates subsets with itertools.  Expected values in the tests are
-frozen from (or re-checked against) these.
+The language oracle is a direct denotational recursion over the AST, and
+the partition oracle enumerates subsets with itertools; neither uses the
+library's automaton pipeline.  The inclusion reference enumerates the left
+language and membership-tests the right one: it shares ``union_alphabet``,
+``expand``, ``glushkov`` and ``language_iter`` with the library, but not the
+product search that ``crekit.decision.includes`` runs.  Expected values in
+the tests are frozen from (or re-checked against) these.
 """
 
+from dataclasses import dataclass
 from itertools import combinations
 
+from crekit.decision import union_alphabet
+from crekit.engine import DEFAULT_WORD_LIMIT, expand, glushkov, language_iter
+from crekit.errors import ResultTooLarge
 from crekit.syntax import Alt, Concat, Epsilon, Rep, Symbol
 
 
@@ -46,6 +53,39 @@ def brute_language(e, max_len):
             result |= new
         return result
     raise TypeError(f"not an Expr: {e!r}")
+
+
+@dataclass(frozen=True)
+class ReferenceVerdict:
+    """A witness is in L(left) - L(right).
+
+    ``checked_up_to`` is None for exact verdicts; when the length bound was
+    too small to be conclusive, it holds that bound and the verdict means
+    "no counterexample up to this length".
+    """
+
+    holds: bool
+    witness: tuple | None = None
+    checked_up_to: int | None = None
+
+
+def includes_reference(left, right, len_bound):
+    """Inclusion by exhaustive enumeration of L(left) up to ``len_bound``.
+
+    Witness selection matches ``includes``.  A holds-verdict obtained with a
+    bound below the state-count product of the two automata is only sound up
+    to that bound and carries it in ``checked_up_to``.
+    """
+    syms = union_alphabet(left, right)
+    a = glushkov(expand(left))
+    b = glushkov(expand(right))
+    for seen, word in enumerate(language_iter(left, len_bound, symbol_order=syms), 1):
+        if seen > DEFAULT_WORD_LIMIT:
+            raise ResultTooLarge(DEFAULT_WORD_LIMIT)
+        if not b.accepts(word):
+            return ReferenceVerdict(holds=False, witness=word)
+    complete = len_bound >= a.state_count * b.state_count
+    return ReferenceVerdict(holds=True, checked_up_to=None if complete else len_bound)
 
 
 def naive_partition(weights):

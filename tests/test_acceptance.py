@@ -12,7 +12,7 @@ import time
 import pytest
 
 from conftest import make_corpus
-from crekit.decision import includes, includes_reference
+from crekit.decision import includes
 from crekit.engine import (
     enumerate_words,
     expand,
@@ -32,7 +32,7 @@ from crekit.partition import (
 )
 from crekit.syntax import Alt, Concat, Symbol, alphabet_of, parse_expr, render_expr
 from crekit.unambiguity import check_unambiguous, is_single_occurrence, marked_sets
-from oracle import all_words
+from oracle import all_words, includes_reference
 
 K_MAX, W_MAX = 4, 5
 

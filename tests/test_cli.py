@@ -271,10 +271,40 @@ class TestConfig:
         code, out, _ = run_cli(capsys, "member", "a{9,9}", "a", "--cap", "1000")
         assert code == 1 and out.strip() == "false"
 
-    def test_bad_limit_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "enumerate", "a", "1", "--limit", "0")
+    @pytest.mark.parametrize(
+        "argv, envelope",
+        [
+            pytest.param(("enumerate", "a", "1", "--limit", "0"), True, id="limit-0"),
+            pytest.param(("include", "a", "a", "--cap", "0"), True, id="cap-0"),
+            pytest.param(("lengths", "a", "0"), True, id="cutoff-0"),
+            pytest.param(("lengths", "a", "x"), False, id="non-integer-count"),
+            pytest.param(("member", "a"), False, id="missing-argument"),
+            pytest.param(("member", "a", "a", "--bogus"), False, id="unknown-flag"),
+            # a flag the command would ignore is rejected, not dropped
+            pytest.param(
+                ("overlap", "a", "a", "--budget", "1"), False, id="overlap-budget"
+            ),
+            pytest.param(("parse", "a", "--cap", "5"), False, id="parse-cap"),
+        ],
+    )
+    def test_bad_limit_rejected(self, capsys, argv, envelope):
+        # the envelope can only follow once argparse has read --format json
+        for fmt in ((), ("--format", "json")):
+            code, out, err = run_cli(capsys, *argv, *fmt)
+            assert code == 2
+            assert err.startswith("error[USAGE]: ") and err.count("\n") == 1
+            if fmt and envelope:
+                assert json.loads(out)["error"]["code"] == "USAGE"
+            else:
+                assert out == ""
+
+    def test_bad_env_cap_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("CREKIT_EXPANSION_CAP", "x")
+        code, out, err = run_cli(capsys, "member", "a", "a", "--format", "json")
         assert code == 2
-        assert "error[USAGE]" in err
+        assert err.startswith("error[USAGE]: CREKIT_EXPANSION_CAP")
+        assert err.count("\n") == 1
+        assert json.loads(out)["error"]["code"] == "USAGE"
 
 
 def test_console_entry_point():

@@ -5,7 +5,6 @@ from conftest import expressions
 from crekit.decision import (
     equivalent,
     includes,
-    includes_reference,
     overlaps,
     union_alphabet,
 )
@@ -13,7 +12,7 @@ from crekit.engine import member
 from crekit.errors import StateBudgetExceeded
 from crekit.partition import PartitionInstance, build_expressions
 from crekit.syntax import alt, parse_expr
-from oracle import brute_language
+from oracle import brute_language, includes_reference
 
 
 class TestIncludes:

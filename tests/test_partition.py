@@ -1,6 +1,5 @@
 import pytest
 
-from crekit.decision import includes_reference
 from crekit.errors import ExprSyntaxError, OddTotalError
 from crekit.partition import (
     PartitionInstance,
@@ -14,7 +13,7 @@ from crekit.partition import (
 )
 from crekit.syntax import render_expr
 from crekit.unambiguity import is_single_occurrence
-from oracle import naive_partition
+from oracle import includes_reference, naive_partition
 
 
 class TestInstance:

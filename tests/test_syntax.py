@@ -5,7 +5,6 @@ from conftest import expressions
 from crekit.errors import ExprSyntaxError, InvalidCountError
 from crekit.syntax import (
     EPSILON,
-    Alphabet,
     Alt,
     Concat,
     CountRange,
@@ -145,10 +144,6 @@ class TestAlphabet:
 
     def test_duplicates_collapse(self):
         assert tuple(alphabet_of(parse_expr("b a b a"))) == ("b", "a")
-
-    def test_duplicate_symbols_rejected(self):
-        with pytest.raises(ValueError):
-            Alphabet(("a", "a"))
 
 
 @given(expressions())
