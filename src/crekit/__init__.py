@@ -22,6 +22,7 @@ from .engine import (
     DEFAULT_WORD_LIMIT,
     LengthSet,
     Nfa,
+    Positions,
     Word,
     enumerate_words,
     expand,
@@ -32,6 +33,7 @@ from .engine import (
     node_count,
     occurrence_count,
     parse_word,
+    positions,
     render_word,
 )
 from .errors import (
@@ -73,7 +75,6 @@ from .syntax import (
 )
 from .unambiguity import (
     Conflict,
-    MarkedSets,
     UnambiguityVerdict,
     check_unambiguous,
     is_single_occurrence,

@@ -108,6 +108,15 @@ _FLAGS = {
     "limit": ("enumeration word limit", DEFAULT_WORD_LIMIT),
 }
 
+# integer argument -> the smallest value it accepts
+_MINIMUM = dict(cap=1, budget=1, limit=1, cutoff=1, maxlen=0, kmax=1, wmax=1)
+
+
+def _wants_json(argv: list[str]) -> bool:
+    """Whether argv asks for JSON; read before argparse, which may fail first."""
+    pairs = zip(argv, argv[1:] + [None])
+    return any(a == "--format=json" or (a, b) == ("--format", "json") for a, b in pairs)
+
 
 def _env_cap() -> int:
     text = os.environ.get(ENV_EXPANSION_CAP)
@@ -340,16 +349,17 @@ def _envelope(verdict=False, witness=None, error=None, report=None) -> dict:
 
 
 def main(argv=None) -> int:
-    output_format = "text"
+    argv = sys.argv[1:] if argv is None else list(argv)
+    output_format = "json" if _wants_json(argv) else "text"
     try:
         args = _parser().parse_args(argv)
         output_format = args.format
         command = args.row
-        for name in ("cap", "budget", "limit", "cutoff"):
+        for name, minimum in _MINIMUM.items():
             value = getattr(args, name, None)
-            if value is not None and value < 1:
+            if value is not None and value < minimum:
                 label = name if name in command.args else f"--{name}"
-                raise UsageError(f"{label} must be at least 1, got {value}")
+                raise UsageError(f"{label} must be at least {minimum}, got {value}")
         if getattr(args, "cap", None) is None:
             args.cap = _env_cap()
         for name in command.args:

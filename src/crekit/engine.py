@@ -10,7 +10,18 @@ blowup and gives an independent cross-check of the automaton path.
 Counter expansion is unary, so it is guarded by an explicit node cap:
 exceeding the cap raises ExpansionCapExceeded up front (the required size
 is computed arithmetically before anything is built), never silently
-truncates.
+truncates.  ``E{l,u}`` unrolls into l copies of E followed by the nested
+optional chain ``(E (E (...)?)?)?`` of depth u-l, not a flat run of u-l
+copies of ``(E|%)``: the last positions of one copy are then followed only
+by the first positions of the next, so the position automaton has O(u)
+transitions instead of O(u^2) (Brueggemann-Klein, "Regular expressions
+into finite automata", TCS 1993).  Expanded trees are therefore as deep as
+they are long, and every tree walk here runs on ``syntax.postorder``
+instead of recursion.
+
+``positions`` is the one position analysis: ``glushkov`` builds the
+automaton from it, and the weak-unambiguity check runs it counter-blind on
+the unexpanded tree.
 
 Words are tuples of symbol names.  Their text form is space-separated
 lexemes, with the empty word written ``%``.
@@ -35,6 +46,7 @@ from .syntax import (
     alt,
     concat,
     is_symbol_name,
+    postorder,
 )
 
 DEFAULT_EXPANSION_CAP = 100_000
@@ -62,81 +74,181 @@ def parse_word(text: str) -> Word:
 
 def node_count(e: Expr) -> int:
     """Number of AST nodes, counting shared subtrees once per occurrence."""
-    if isinstance(e, (Symbol, Epsilon)):
-        return 1
-    if isinstance(e, Concat):
-        return 1 + sum(node_count(p) for p in e.parts)
-    if isinstance(e, Alt):
-        return 1 + sum(node_count(b) for b in e.branches)
-    if isinstance(e, Rep):
-        return 1 + node_count(e.inner)
-    raise TypeError(f"not an Expr: {e!r}")
+    return len(postorder(e))
 
 
 def occurrence_count(e: Expr) -> int:
     """Number of symbol occurrences (Glushkov positions) in ``e``."""
-    if isinstance(e, Symbol):
-        return 1
-    if isinstance(e, Epsilon):
-        return 0
-    if isinstance(e, Concat):
-        return sum(occurrence_count(p) for p in e.parts)
-    if isinstance(e, Alt):
-        return sum(occurrence_count(b) for b in e.branches)
-    return occurrence_count(e.inner)
+    return sum(type(x) is Symbol for x in postorder(e))
 
 
 # --- counter expansion -------------------------------------------------------
 
 
-def _expansion_size(e: Expr) -> int:
-    """Node count of expand(e) before flattening; pure arithmetic."""
-    if isinstance(e, (Symbol, Epsilon)):
-        return 1
-    if isinstance(e, Concat):
-        return 1 + sum(_expansion_size(p) for p in e.parts)
-    if isinstance(e, Alt):
-        return 1 + sum(_expansion_size(b) for b in e.branches)
-    s = _expansion_size(e.inner)
-    low, high = e.count.low, e.count.high
+def _unrolled_size(s: int, count: CountRange) -> int:
+    """Node count of _unroll(inner, count) before flattening; inner has s nodes."""
+    low, high = count.low, count.high
     if high is None:
-        if low <= 1:
-            return 1 + s
-        return 1 + low * s + (1 + s)
-    if high == 1:
-        return s + 2 if low == 0 else s
-    return low * s + (high - low) * (s + 2) + 1
+        return 1 + s if low <= 1 else 1 + low * s + (1 + s)
+    if high == low:
+        return s if low == 1 else 1 + low * s
+    # the innermost optional level (E|%) has s+2 nodes, each outer one s+3
+    chain = (high - low) * (s + 3) - 1
+    return chain if low == 0 else 1 + low * s + chain
+
+
+def _expansion_size(order: list[Expr]) -> int:
+    """Node count of expand(e) before flattening, from postorder(e); pure arithmetic."""
+    sizes: list[int] = []
+    for x in order:
+        t = type(x)
+        if t is Rep:
+            sizes[-1] = _unrolled_size(sizes[-1], x.count)
+        elif t is Concat or t is Alt:
+            k = len(x.parts) if t is Concat else len(x.branches)
+            sizes[-k:] = [1 + sum(sizes[-k:])]
+        else:
+            sizes.append(1)
+    return sizes[0]
 
 
 def expand(e: Expr, cap: int = DEFAULT_EXPANSION_CAP) -> Expr:
     """Rewrite counted repetition into the counter-free fragment.
 
-    Rules: E{l,u} becomes l copies of E followed by u-l copies of (E|%);
-    E{l,unbounded} becomes l copies of E followed by E{0,unbounded}.  The
-    star-normal repetitions {0,unbounded} and {1,unbounded} survive as-is.
-    The language is preserved; the result may share subtrees.
+    Rules: E{l,u} becomes l copies of E followed by the nested optional
+    chain (E (E (... (E|%) ...)|%)|%) of depth u-l; E{l,unbounded} becomes
+    l copies of E followed by E{0,unbounded}.  The star-normal repetitions
+    {0,unbounded} and {1,unbounded} survive as-is.  The language is
+    preserved; the result may share subtrees.
     """
-    required = _expansion_size(e)
+    order = postorder(e)
+    required = _expansion_size(order)
     if required > cap:
         raise ExpansionCapExceeded(required, cap)
-    return _expand(e)
+    out: list[Expr] = []
+    for x in order:
+        t = type(x)
+        if t is Concat:
+            k = len(x.parts)
+            out[-k:] = [concat(out[-k:])]
+        elif t is Alt:
+            k = len(x.branches)
+            out[-k:] = [alt(out[-k:])]
+        elif t is Rep:
+            out[-1] = _unroll(out[-1], x.count)
+        else:
+            out.append(x)
+    return out[0]
 
 
-def _expand(e: Expr) -> Expr:
-    if isinstance(e, (Symbol, Epsilon)):
-        return e
-    if isinstance(e, Concat):
-        return concat(_expand(p) for p in e.parts)
-    if isinstance(e, Alt):
-        return alt(_expand(b) for b in e.branches)
-    inner = _expand(e.inner)
-    low, high = e.count.low, e.count.high
+def _unroll(inner: Expr, count: CountRange) -> Expr:
+    low, high = count.low, count.high
     if high is None:
         if low <= 1:
-            return Rep(inner, CountRange(low, None))
+            return Rep(inner, count)
         return concat([inner] * low + [Rep(inner, CountRange(0, None))])
-    optional = alt([inner, EPSILON])
-    return concat([inner] * low + [optional] * (high - low))
+    # Nested rather than flat, so that the last positions of one copy are
+    # followed only by the next copy: O(u) transitions instead of O(u^2).
+    chain: list[Expr] = []
+    if high > low:
+        tail = alt([inner, EPSILON])
+        for _ in range(high - low - 1):
+            tail = alt([concat([inner, tail]), EPSILON])
+        chain.append(tail)
+    return concat([inner] * low + chain)
+
+
+# --- position analysis -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Positions:
+    """Position analysis of an expression.
+
+    Positions are the symbol occurrences, numbered 1..n in document order.
+    ``follow[p]`` is the set of positions that may follow position p, and
+    ``follow[0]`` is the first set: the successors of the initial state.
+    """
+
+    symbols: tuple[str, ...]  # symbols[p-1] is the symbol at position p
+    nullable: bool
+    last: frozenset[int]
+    follow: tuple[frozenset[int], ...]
+
+    @property
+    def first(self) -> frozenset[int]:
+        return self.follow[0]
+
+
+_STAR_RANGES = ((0, 1), (0, None), (1, None))
+
+
+def _merge(a: set[int], b: set[int]) -> set[int]:
+    # Union into the larger of two sets that no one else holds; merging small
+    # into large keeps the growing last sets of a nested chain linear.
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
+
+
+def positions(e: Expr, *, counter_blind: bool = False) -> Positions:
+    """Nullable, first, last and follow sets of ``e``, in one iterative pass.
+
+    A repetition adds the iteration pairs last x first when it is
+    unbounded.  By default only the ranges {0,1}, {0,unbounded} and
+    {1,unbounded} are accepted; any other must be expanded first.  With
+    ``counter_blind`` every range is accepted, and a repetition also adds
+    the iteration pairs whenever its upper bound allows a second round, so
+    counter values never disambiguate.
+    """
+    symbols: list[str] = []
+    follow: list[set[int]] = [set()]  # follow[0] is set to the first set below
+    done: list[tuple[bool, set[int], set[int]]] = []  # (nullable, first, last)
+    for x in postorder(e):
+        t = type(x)
+        if t is Symbol:
+            symbols.append(x.name)
+            follow.append(set())
+            p = len(symbols)
+            done.append((False, {p}, {p}))
+        elif t is Epsilon:
+            done.append((True, set(), set()))
+        elif t is Rep:
+            low, high = x.count.low, x.count.high
+            if not counter_blind and (low, high) not in _STAR_RANGES:
+                raise ValueError(
+                    f"glushkov needs expanded input, found {x.count.render()}"
+                )
+            n, f, l = done[-1]
+            if high is None or (counter_blind and high >= 2):
+                for p in l:
+                    follow[p] |= f
+            done[-1] = (n or low == 0, f, l)
+        elif t is Alt:
+            k = len(x.branches)
+            nullable, first, last = done[-k]
+            for n, f, l in done[1 - k :]:
+                nullable, first, last = nullable or n, _merge(first, f), _merge(last, l)
+            done[-k:] = [(nullable, first, last)]
+        else:
+            k = len(x.parts)
+            nullable, first, last = done[-k]
+            for n, f, l in done[1 - k :]:
+                for p in last:
+                    follow[p] |= f
+                if nullable:
+                    first = _merge(first, f)
+                last = _merge(last, l) if n else l
+                nullable = nullable and n
+            done[-k:] = [(nullable, first, last)]
+    nullable, follow[0], last = done[0]
+    return Positions(
+        symbols=tuple(symbols),
+        nullable=nullable,
+        last=frozenset(last),
+        follow=tuple(map(frozenset, follow)),
+    )
 
 
 # --- position automaton ------------------------------------------------------
@@ -186,70 +298,22 @@ class Nfa:
         return bool(current & self.accepting)
 
 
-_STAR_RANGES = ((0, 1), (0, None), (1, None))
-
-
 def glushkov(e: Expr) -> Nfa:
     """Position automaton of a counter-free expression.
 
     Accepts the classic operator ranges {0,1}, {0,unbounded} and
     {1,unbounded}; any other occurrence indicator must be expanded first.
     """
-    symbols: list[str] = []  # symbols[p-1] is the symbol of position p
-    follow: dict[int, set[int]] = {}
-
-    def build(x: Expr) -> tuple[bool, frozenset[int], frozenset[int]]:
-        # returns (nullable, first, last)
-        if isinstance(x, Symbol):
-            symbols.append(x.name)
-            p = len(symbols)
-            follow[p] = set()
-            only = frozenset((p,))
-            return False, only, only
-        if isinstance(x, Epsilon):
-            return True, frozenset(), frozenset()
-        if isinstance(x, Alt):
-            nullable, first, last = False, frozenset(), frozenset()
-            for b in x.branches:
-                n, f, l = build(b)
-                nullable, first, last = nullable or n, first | f, last | l
-            return nullable, first, last
-        if isinstance(x, Concat):
-            nullable, first, last = True, frozenset(), frozenset()
-            for part in x.parts:
-                n, f, l = build(part)
-                for p in last:
-                    follow[p] |= f
-                if nullable:
-                    first |= f
-                last = last | l if n else l
-                nullable = nullable and n
-            return nullable, first, last
-        if isinstance(x, Rep):
-            if (x.count.low, x.count.high) not in _STAR_RANGES:
-                raise ValueError(
-                    f"glushkov needs expanded input, found {x.count.render()}"
-                )
-            n, f, l = build(x.inner)
-            if x.count.high is None:
-                for p in l:
-                    follow[p] |= f
-            return n or x.count.low == 0, f, l
-        raise TypeError(f"not an Expr: {x!r}")
-
-    nullable, first, last = build(e)
-    transitions = {(0, symbols[p - 1], p) for p in first}
-    for p, succ in follow.items():
-        for q in succ:
-            transitions.add((p, symbols[q - 1], q))
-    accepting = set(last)
-    if nullable:
-        accepting.add(0)
+    sets = positions(e)
+    symbols = sets.symbols
+    transitions = frozenset(
+        (p, symbols[q - 1], q) for p, succ in enumerate(sets.follow) for q in succ
+    )
     return Nfa(
         state_count=len(symbols) + 1,
         initial=0,
-        accepting=frozenset(accepting),
-        transitions=frozenset(transitions),
+        accepting=sets.last | {0} if sets.nullable else sets.last,
+        transitions=transitions,
     )
 
 

@@ -166,24 +166,39 @@ def rep(inner: Expr, low: int, high: int | None) -> Expr:
     return Rep(inner, count)
 
 
+def postorder(e: Expr) -> list[Expr]:
+    """The nodes of ``e``, children before parents, left to right.
+
+    Symbols therefore come in document order, and a shared subtree is listed
+    once per occurrence.  The walk keeps its own stack, so the depth of an
+    expression is bounded by memory rather than by the recursion limit:
+    counter expansion nests one level per optional copy.  Callers evaluate
+    the list with a value stack, where a node with k children replaces the
+    top k values.
+    """
+    order: list[Expr] = []
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        order.append(x)
+        t = type(x)
+        # children pushed left to right are visited right to left, so the
+        # reversed visit order is the left-to-right post-order
+        if t is Concat:
+            todo.extend(x.parts)
+        elif t is Alt:
+            todo.extend(x.branches)
+        elif t is Rep:
+            todo.append(x.inner)
+        elif t is not Symbol and t is not Epsilon:
+            raise TypeError(f"not an Expr: {x!r}")
+    order.reverse()
+    return order
+
+
 def alphabet_of(e: Expr) -> tuple[str, ...]:
     """Distinct symbols of ``e`` in order of first occurrence."""
-    seen: dict[str, None] = {}
-
-    def walk(x: Expr):
-        if isinstance(x, Symbol):
-            seen.setdefault(x.name)
-        elif isinstance(x, Concat):
-            for p in x.parts:
-                walk(p)
-        elif isinstance(x, Alt):
-            for b in x.branches:
-                walk(b)
-        elif isinstance(x, Rep):
-            walk(x.inner)
-
-    walk(e)
-    return tuple(seen)
+    return tuple(dict.fromkeys(x.name for x in postorder(e) if type(x) is Symbol))
 
 
 # --- tokenizer -------------------------------------------------------------

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import Alt, Concat, Epsilon, Expr, Rep, Symbol
+from .engine import Positions, positions
+from .syntax import Expr, Symbol, postorder
 
 FIRST_SET = "first-set"
 FOLLOW_SET = "follow-set"
@@ -51,95 +52,26 @@ class UnambiguityVerdict:
             raise ValueError("conflict must be present exactly when ambiguous")
 
 
-@dataclass(frozen=True)
-class MarkedSets:
-    """Marked-position analysis of an unexpanded expression."""
-
-    symbols: tuple[str, ...]  # symbols[p-1] is the symbol at position p
-    nullable: bool
-    first: frozenset[int]
-    last: frozenset[int]
-    follow: dict[int, frozenset[int]]
-
-
 def is_single_occurrence(e: Expr) -> bool:
     """True iff every alphabet symbol occurs exactly once in ``e``."""
-    counts: dict[str, int] = {}
-
-    def walk(x: Expr):
-        if isinstance(x, Symbol):
-            counts[x.name] = counts.get(x.name, 0) + 1
-        elif isinstance(x, Concat):
-            for p in x.parts:
-                walk(p)
-        elif isinstance(x, Alt):
-            for b in x.branches:
-                walk(b)
-        elif isinstance(x, Rep):
-            walk(x.inner)
-
-    walk(e)
-    return all(c == 1 for c in counts.values())
+    names = [x.name for x in postorder(e) if type(x) is Symbol]
+    return len(names) == len(set(names))
 
 
-def marked_sets(e: Expr) -> MarkedSets:
+def marked_sets(e: Expr) -> Positions:
     """Nullable/first/last/follow of the original tree, counter-blind.
 
     A repetition with upper bound >= 2 (or unbounded) always contributes the
     iteration pairs last x first; it is nullable iff its lower bound is 0 or
     its body is nullable.
     """
-    symbols: list[str] = []
-    follow: dict[int, set[int]] = {}
-
-    def build(x: Expr) -> tuple[bool, frozenset[int], frozenset[int]]:
-        if isinstance(x, Symbol):
-            symbols.append(x.name)
-            p = len(symbols)
-            follow[p] = set()
-            only = frozenset((p,))
-            return False, only, only
-        if isinstance(x, Epsilon):
-            return True, frozenset(), frozenset()
-        if isinstance(x, Alt):
-            nullable, first, last = False, frozenset(), frozenset()
-            for b in x.branches:
-                n, f, l = build(b)
-                nullable, first, last = nullable or n, first | f, last | l
-            return nullable, first, last
-        if isinstance(x, Concat):
-            nullable, first, last = True, frozenset(), frozenset()
-            for part in x.parts:
-                n, f, l = build(part)
-                for p in last:
-                    follow[p] |= f
-                if nullable:
-                    first |= f
-                last = last | l if n else l
-                nullable = nullable and n
-            return nullable, first, last
-        if isinstance(x, Rep):
-            n, f, l = build(x.inner)
-            if x.count.high is None or x.count.high >= 2:
-                for p in l:
-                    follow[p] |= f
-            return n or x.count.low == 0, f, l
-        raise TypeError(f"not an Expr: {x!r}")
-
-    nullable, first, last = build(e)
-    return MarkedSets(
-        symbols=tuple(symbols),
-        nullable=nullable,
-        first=first,
-        last=last,
-        follow={p: frozenset(s) for p, s in follow.items()},
-    )
+    return positions(e, counter_blind=True)
 
 
-def _set_conflict(positions, symbols) -> tuple[int, int, str] | None:
+def _set_conflict(members, symbols) -> tuple[int, int, str] | None:
     """Smallest same-symbol position pair within one set, or None."""
     by_symbol: dict[str, list[int]] = {}
-    for p in sorted(positions):
+    for p in sorted(members):
         by_symbol.setdefault(symbols[p - 1], []).append(p)
     best: tuple[int, int, str] | None = None
     for sym, ps in by_symbol.items():
@@ -160,19 +92,13 @@ def check_unambiguous(e: Expr) -> UnambiguityVerdict:
     if is_single_occurrence(e):
         return UnambiguityVerdict(unambiguous=True)
     sets = marked_sets(e)
-    hit = _set_conflict(sets.first, sets.symbols)
-    if hit is not None:
-        a, b, sym = hit
-        return UnambiguityVerdict(
-            unambiguous=False,
-            conflict=Conflict(sym, (a, b), FIRST_SET),
-        )
-    for p in range(1, len(sets.symbols) + 1):
-        hit = _set_conflict(sets.follow[p], sets.symbols)
+    for p, succ in enumerate(sets.follow):
+        hit = _set_conflict(succ, sets.symbols)
         if hit is not None:
             a, b, sym = hit
-            return UnambiguityVerdict(
-                unambiguous=False,
-                conflict=Conflict(sym, (a, b), FOLLOW_SET, locus_position=p),
-            )
+            if p == 0:
+                conflict = Conflict(sym, (a, b), FIRST_SET)
+            else:
+                conflict = Conflict(sym, (a, b), FOLLOW_SET, locus_position=p)
+            return UnambiguityVerdict(unambiguous=False, conflict=conflict)
     return UnambiguityVerdict(unambiguous=True)

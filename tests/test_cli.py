@@ -50,6 +50,17 @@ class TestMemberCommand:
         code, out, _ = run_cli(capsys, "member", "a{0,1}", "%")
         assert code == 0 and out.strip() == "true"
 
+    def test_large_counter_hits_the_cap(self, capsys):
+        # 30000 optional copies need 119999 nodes, over the default cap
+        code, out, err = run_cli(capsys, "member", "a{0,30000}", "a")
+        assert code == 3 and out == ""
+        assert err.startswith("error[EXPANSION_CAP]: ")
+
+    def test_large_counter_under_a_raised_cap(self, capsys):
+        argv = ("member", "a{0,30000}", "a", "--cap", "1000000")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.strip() == "true"
+
 
 class TestEnumerateCommand:
     def test_lists_words(self, capsys):
@@ -272,28 +283,29 @@ class TestConfig:
         assert code == 1 and out.strip() == "false"
 
     @pytest.mark.parametrize(
-        "argv, envelope",
+        "argv",
         [
-            pytest.param(("enumerate", "a", "1", "--limit", "0"), True, id="limit-0"),
-            pytest.param(("include", "a", "a", "--cap", "0"), True, id="cap-0"),
-            pytest.param(("lengths", "a", "0"), True, id="cutoff-0"),
-            pytest.param(("lengths", "a", "x"), False, id="non-integer-count"),
-            pytest.param(("member", "a"), False, id="missing-argument"),
-            pytest.param(("member", "a", "a", "--bogus"), False, id="unknown-flag"),
+            pytest.param(("enumerate", "a", "1", "--limit", "0"), id="limit-0"),
+            pytest.param(("include", "a", "a", "--cap", "0"), id="cap-0"),
+            pytest.param(("lengths", "a", "0"), id="cutoff-0"),
+            pytest.param(("enumerate", "a", "-1"), id="maxlen-negative"),
+            pytest.param(("verify-suite", "-2", "3"), id="kmax-negative"),
+            pytest.param(("verify-suite", "2", "0"), id="wmax-0"),
+            pytest.param(("lengths", "a", "x"), id="non-integer-count"),
+            pytest.param(("member", "a"), id="missing-argument"),
+            pytest.param(("member", "a", "a", "--bogus"), id="unknown-flag"),
             # a flag the command would ignore is rejected, not dropped
-            pytest.param(
-                ("overlap", "a", "a", "--budget", "1"), False, id="overlap-budget"
-            ),
-            pytest.param(("parse", "a", "--cap", "5"), False, id="parse-cap"),
+            pytest.param(("overlap", "a", "a", "--budget", "1"), id="overlap-budget"),
+            pytest.param(("parse", "a", "--cap", "5"), id="parse-cap"),
         ],
     )
-    def test_bad_limit_rejected(self, capsys, argv, envelope):
-        # the envelope can only follow once argparse has read --format json
-        for fmt in ((), ("--format", "json")):
+    def test_bad_limit_rejected(self, capsys, argv):
+        # argparse failures get the envelope too: --format is read from argv
+        for fmt in ((), ("--format", "json"), ("--format=json",)):
             code, out, err = run_cli(capsys, *argv, *fmt)
             assert code == 2
             assert err.startswith("error[USAGE]: ") and err.count("\n") == 1
-            if fmt and envelope:
+            if fmt:
                 assert json.loads(out)["error"]["code"] == "USAGE"
             else:
                 assert out == ""

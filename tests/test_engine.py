@@ -1,3 +1,7 @@
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 
@@ -40,7 +44,7 @@ class TestExpand:
 
     def test_zero_lower_bound(self):
         got = expand(parse_expr("a{0,2}"))
-        assert got == Concat((Alt((A, EPSILON)), Alt((A, EPSILON))))
+        assert got == Alt((Concat((A, Alt((A, EPSILON)))), EPSILON))
 
     def test_group_repetition(self):
         got = expand(Rep(Concat((A, B)), CountRange(1, 2)))
@@ -120,6 +124,12 @@ class TestGlushkov:
         with pytest.raises(ValueError):
             Nfa(2, 0, frozenset(), frozenset({(0, "a", 9)}))
 
+    @pytest.mark.parametrize("u", [1, 2, 10, 300])
+    def test_counter_transitions_are_linear(self, u):
+        # a flat chain of optional copies would give u(u+1)/2
+        nfa = glushkov(expand(parse_expr(f"a{{0,{u}}}")))
+        assert len(nfa.transitions) <= 2 * u + 1
+
     @given(expressions())
     @settings(max_examples=150, deadline=None)
     def test_state_count_is_positions_plus_one(self, e):
@@ -139,6 +149,12 @@ class TestMember:
         # derived: the denotational language of E1 up to length 3 contains it
         assert word in brute_language(e1, 3)
         assert member(e1, word) is True
+
+    def test_large_counters_at_the_default_cap(self):
+        assert member(parse_expr("a{0,3000}"), ("a",)) is True
+        e = parse_expr("(a|b){0,2000} c")
+        assert member(e, ("a", "b") * 1000 + ("c",)) is True
+        assert member(e, ("a",) * 2001 + ("c",)) is False
 
     def test_foreign_symbols_never_match(self):
         assert member(parse_expr("a{1,2}"), ("z",)) is False
@@ -307,3 +323,42 @@ def test_language_iter_custom_symbol_order():
 def test_alphabet_of_reduction_expressions():
     _, e2 = build_expressions(PartitionInstance((2, 2)))
     assert tuple(alphabet_of(e2)) == ("a0", "a1", "a2")
+
+
+def test_deep_expansions_need_no_recursion():
+    # Expansion nests one level per optional copy; every walk over such a
+    # tree must keep its own stack.  The child runs far below the depth of
+    # the trees it builds.
+    child = textwrap.dedent(
+        """
+        import sys
+        from crekit import (
+            PartitionInstance, alphabet_of, check_unambiguous,
+            decide_partition_via_inclusion, enumerate_words, expand, member,
+            node_count, occurrence_count, parse_expr,
+        )
+        sys.setrecursionlimit(200)
+        weights = PartitionInstance((10, 20, 10, 15, 15, 10))
+        print(decide_partition_via_inclusion(weights))
+        e = parse_expr("(x|y){0,260} z")
+        print(member(e, ("x", "y") * 130 + ("z",)), member(e, ("x",) * 261 + ("z",)))
+        big = expand(e)
+        print(node_count(big), occurrence_count(big), alphabet_of(big))
+        print(check_unambiguous(big).unambiguous)
+        print(check_unambiguous(expand(parse_expr("x{0,260} x"))).unambiguous)
+        print(len(enumerate_words(parse_expr("a{0,300}"), 3)))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "True",
+        "True False",
+        "1560 521 ('x', 'y', 'z')",
+        "True",
+        "False",
+        "4",
+        "",
+    ]
