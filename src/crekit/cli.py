@@ -237,7 +237,7 @@ def _include(a) -> Iterator[Result]:
 
 
 def _overlap(a) -> Iterator[Result]:
-    verdict = overlaps(a.left, a.right, cap=a.cap)
+    verdict = overlaps(a.left, a.right, cap=a.cap, state_budget=a.budget)
     if verdict.overlaps:
         yield True, verdict.witness, ["overlaps", _witness(verdict.witness)], None
     else:
@@ -302,7 +302,7 @@ COMMANDS = {
     "lengths": Command("word lengths up to a cutoff", ("expr", "cutoff"), (), _lengths),
     "unambiguous": Command("weak unambiguity check", ("expr",), (), _unambiguous),
     "include": Command("language inclusion", ("left", "right"), _DECIDE, _include),
-    "overlap": Command("language overlap", ("left", "right"), ("cap",), _overlap),
+    "overlap": Command("language overlap", ("left", "right"), _DECIDE, _overlap),
     "equiv": Command("language equivalence", ("left", "right"), _DECIDE, _equiv),
     "reduce": Command("print E1 and E2 for weights", ("weights_file",), (), _reduce),
     "partition": Command(

@@ -21,7 +21,12 @@ instead of recursion.
 
 ``positions`` is the one position analysis: ``glushkov`` builds the
 automaton from it, and the weak-unambiguity check runs it counter-blind on
-the unexpanded tree.
+the unexpanded tree.  A set of automaton states is an int, bit q for state
+q.  The automaton keeps one symbol per position and one follow mask per
+state, each shifted down to its lowest member, so its storage is O(n) bytes
+for a chain of n positions; a subset step is ``reach(S) & symbol_mask``
+(Chang and Paige, "From regular expressions to DFA's using compressed
+NFA's", TCS 1997).
 
 Words are tuples of symbol names.  Their text form is space-separated
 lexemes, with the empty word written ``%``.
@@ -29,8 +34,7 @@ lexemes, with the empty word written ``%``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .errors import ExpansionCapExceeded, ExprSyntaxError, ResultTooLarge
 from .syntax import (
@@ -254,45 +258,101 @@ def positions(e: Expr, *, counter_blind: bool = False) -> Positions:
 # --- position automaton ------------------------------------------------------
 
 
+def bits(x: int):
+    """Indexes of the set bits of ``x``, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _mask(members, offset: int = 0) -> int:
+    """The int with bit q - offset set for each q in members."""
+    if len(members) < 64:
+        mask = 0
+        for q in members:
+            mask |= 1 << (q - offset)
+        return mask
+    # one pass over a buffer instead of one big-int OR per member
+    buf = bytearray(((max(members) - offset) >> 3) + 1)
+    for q in members:
+        q -= offset
+        buf[q >> 3] |= 1 << (q & 7)
+    return int.from_bytes(buf, "little")
+
+
 @dataclass(frozen=True)
 class Nfa:
-    """Epsilon-free automaton; state 0 is initial, states 1..n are positions."""
+    """Epsilon-free position automaton over bitmask state sets.
 
-    state_count: int
-    initial: int
-    accepting: frozenset[int]
-    transitions: frozenset[tuple[int, str, int]]
+    State 0 is initial and states 1..n are the positions; a set of states is
+    an int with bit q set for state q.  ``symbols[q-1]`` is the symbol read
+    on entering position q.  The follow set of state q is
+    ``follow[q] << offsets[q]``: each mask is stored shifted down to its
+    lowest member, so a follow set costs bytes in proportion to its span,
+    not to q, and a chain such as ``a{0,u}`` stores O(u) bits in all.  A
+    step is ``reach(S) & symbol_masks[sym]``, where ``reach(S)`` is the union
+    of the follow sets of the states in S, computed once for all symbols.
+    """
+
+    symbols: tuple[str, ...]
+    offsets: tuple[int, ...]
+    follow: tuple[int, ...]
+    accepting: int
+    # symbol -> the set of states entered on it
+    symbol_masks: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 <= self.initial < self.state_count:
-            raise ValueError("initial state out of range")
-        for q in self.accepting:
-            if not 0 <= q < self.state_count:
-                raise ValueError("accepting state out of range")
-        for src, _, dst in self.transitions:
-            if not (0 <= src < self.state_count and 0 <= dst < self.state_count):
-                raise ValueError("transition state out of range")
+        n = len(self.symbols) + 1
+        if len(self.offsets) != n or len(self.follow) != n:
+            raise ValueError("need one follow set per state")
+        for offset, mask in zip(self.offsets, self.follow):
+            if mask < 0 or (mask and (offset < 1 or offset + mask.bit_length() > n)):
+                raise ValueError("follow state out of range")
+        if not 0 <= self.accepting < 1 << n:
+            raise ValueError("accepting state out of range")
+        entered: dict[str, list[int]] = {}
+        for q, sym in enumerate(self.symbols, 1):
+            entered.setdefault(sym, []).append(q)
+        masks = {sym: _mask(qs) for sym, qs in entered.items()}
+        object.__setattr__(self, "symbol_masks", masks)
 
-    @cached_property
-    def successors(self) -> dict[int, dict[str, frozenset[int]]]:
-        table: dict[int, dict[str, set[int]]] = {}
-        for src, sym, dst in self.transitions:
-            table.setdefault(src, {}).setdefault(sym, set()).add(dst)
-        return {
-            src: {sym: frozenset(dsts) for sym, dsts in row.items()}
-            for src, row in table.items()
-        }
+    @property
+    def state_count(self) -> int:
+        return len(self.symbols) + 1
+
+    def reach(self, states: int) -> int:
+        """Union of the follow sets of ``states``."""
+        if not states & (states - 1):  # at most one state: no bit loop
+            q = states.bit_length() - 1
+            return self.follow[q] << self.offsets[q] if q >= 0 else 0
+        out = 0
+        follow, offsets = self.follow, self.offsets
+        for q in bits(states):
+            out |= follow[q] << offsets[q]
+        return out
+
+    def targets(self, q: int) -> dict[str, list[int]]:
+        """Successors of state q by symbol, each list ascending."""
+        row: dict[str, list[int]] = {}
+        offset, symbols = self.offsets[q], self.symbols
+        for r in bits(self.follow[q]):
+            p = offset + r
+            row.setdefault(symbols[p - 1], []).append(p)
+        return row
 
     def step(self, states, symbol: str) -> frozenset[int]:
-        out: set[int] = set()
+        """Successors of an iterable of states on ``symbol``, as a set."""
+        mask = 0
         for q in states:
-            out |= self.successors.get(q, {}).get(symbol, frozenset())
-        return frozenset(out)
+            mask |= 1 << q
+        return frozenset(bits(self.reach(mask) & self.symbol_masks.get(symbol, 0)))
 
     def accepts(self, word: Word) -> bool:
-        current: frozenset[int] = frozenset((self.initial,))
+        current = 1  # the initial state 0
+        masks = self.symbol_masks
         for sym in word:
-            current = self.step(current, sym)
+            current = self.reach(current) & masks.get(sym, 0)
             if not current:
                 return False
         return bool(current & self.accepting)
@@ -305,15 +365,12 @@ def glushkov(e: Expr) -> Nfa:
     {1,unbounded}; any other occurrence indicator must be expanded first.
     """
     sets = positions(e)
-    symbols = sets.symbols
-    transitions = frozenset(
-        (p, symbols[q - 1], q) for p, succ in enumerate(sets.follow) for q in succ
-    )
+    offsets = tuple([min(s) if s else 0 for s in sets.follow])
     return Nfa(
-        state_count=len(symbols) + 1,
-        initial=0,
-        accepting=sets.last | {0} if sets.nullable else sets.last,
-        transitions=transitions,
+        symbols=sets.symbols,
+        offsets=offsets,
+        follow=tuple(map(_mask, sets.follow, offsets)),
+        accepting=_mask(sets.last) | sets.nullable,
     )
 
 
@@ -331,31 +388,45 @@ def language_iter(
     *,
     cap: int = DEFAULT_EXPANSION_CAP,
     symbol_order=None,
+    word_limit: int = DEFAULT_WORD_LIMIT,
 ):
     """Yield the words of L(e) with length <= max_len.
 
     Order is length first, then lexicographic by ``symbol_order`` (default:
-    first-occurrence order of the expression's alphabet).
+    first-occurrence order of the expression's alphabet).  The words
+    yielded and the prefixes pending for the next length are each charged
+    against ``word_limit``: exceeding it raises ResultTooLarge.
     """
     nfa = glushkov(expand(e, cap))
     syms = tuple(symbol_order) if symbol_order is not None else tuple(alphabet_of(e))
-    start: frozenset[int] = frozenset((nfa.initial,))
-    frontier: list[tuple[Word, frozenset[int]]] = [((), start)]
-    if start & nfa.accepting:
+    steps = [(sym, nfa.symbol_masks.get(sym, 0)) for sym in syms]
+    accepting = nfa.accepting
+    yielded = 0
+    if accepting & 1:
+        yielded += 1
         yield ()
-    for _ in range(max_len):
-        if not frontier:
-            return
-        nxt: list[tuple[Word, frozenset[int]]] = []
+    frontier: list[tuple[Word, int]] = [((), 1)]
+    for length in range(1, max_len + 1):
+        last_round = length == max_len
+        nxt: list[tuple[Word, int]] = []
         for word, states in frontier:
-            for sym in syms:
-                reached = nfa.step(states, sym)
+            reach = nfa.reach(states)
+            for sym, mask in steps:
+                reached = reach & mask
                 if not reached:
                     continue
                 extended = word + (sym,)
-                nxt.append((extended, reached))
-                if reached & nfa.accepting:
+                if reached & accepting:
+                    yielded += 1
+                    if yielded > word_limit:
+                        raise ResultTooLarge(word_limit)
                     yield extended
+                if not last_round:
+                    nxt.append((extended, reached))
+                    if len(nxt) > word_limit:
+                        raise ResultTooLarge(word_limit)
+        if not nxt:
+            return
         frontier = nxt
 
 
@@ -366,13 +437,12 @@ def enumerate_words(
     cap: int = DEFAULT_EXPANSION_CAP,
     word_limit: int = DEFAULT_WORD_LIMIT,
 ) -> list[Word]:
-    """All words of L(e) with length <= max_len, in length-then-lex order."""
-    out: list[Word] = []
-    for word in language_iter(e, max_len, cap=cap):
-        out.append(word)
-        if len(out) > word_limit:
-            raise ResultTooLarge(word_limit)
-    return out
+    """All words of L(e) with length <= max_len, in length-then-lex order.
+
+    Raises ResultTooLarge when more than ``word_limit`` words, or more than
+    ``word_limit`` pending prefixes of one length, would be kept.
+    """
+    return list(language_iter(e, max_len, cap=cap, word_limit=word_limit))
 
 
 # --- length sets ---------------------------------------------------------------

@@ -114,8 +114,8 @@ def all_words(symbols, max_len):
 
 def glushkov_is_deterministic(nfa):
     """Classical one-unambiguity: no state forks on a symbol."""
-    seen = {}
-    for src, sym, dst in nfa.transitions:
-        if seen.setdefault((src, sym), dst) != dst:
-            return False
-    return True
+    return all(
+        len(nfa.step((q,), sym)) <= 1
+        for q in range(nfa.state_count)
+        for sym in set(nfa.symbols)
+    )

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -11,6 +12,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_guarded(*argv, seconds=60, memory=512 << 20):
+    """Run the CLI in a child process under a time and address-space limit."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "crekit.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=seconds,
+        preexec_fn=limit_memory,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestParseCommand:
@@ -78,6 +95,12 @@ class TestEnumerateCommand:
         assert code == 3
         assert "error[RESULT_TOO_LARGE]" in err
 
+    def test_frontier_is_charged_to_the_limit(self):
+        # the pending prefixes alone would exhaust memory long before length 40
+        code, out, err = run_guarded("enumerate", "(a|b){30,} c", "40")
+        assert code == 3 and out == ""
+        assert err.startswith("error[RESULT_TOO_LARGE]: ") and err.count("\n") == 1
+
 
 class TestLengthsCommand:
     def test_members(self, capsys):
@@ -118,6 +141,14 @@ class TestDecisionCommands:
         )
         assert code == 3
         assert "error[STATE_BUDGET]" in err
+
+    def test_overlap_budget_exit(self):
+        # quadratically many state pairs in u: about 8M at u = 2000
+        body = "(a|b)* (a|b){0,2000}"
+        argv = ("overlap", f"{body} c", f"{body} d", "--budget", "100000")
+        code, out, err = run_guarded(*argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error[STATE_BUDGET]: ") and err.count("\n") == 1
 
     def test_overlap(self, capsys):
         code, out, _ = run_cli(capsys, "overlap", "a{1,2}", "a{2,3}")
@@ -295,7 +326,7 @@ class TestConfig:
             pytest.param(("member", "a"), id="missing-argument"),
             pytest.param(("member", "a", "a", "--bogus"), id="unknown-flag"),
             # a flag the command would ignore is rejected, not dropped
-            pytest.param(("overlap", "a", "a", "--budget", "1"), id="overlap-budget"),
+            pytest.param(("overlap", "a", "a", "--limit", "1"), id="overlap-limit"),
             pytest.param(("parse", "a", "--cap", "5"), id="parse-cap"),
         ],
     )

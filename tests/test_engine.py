@@ -4,11 +4,13 @@ import textwrap
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import expressions, make_corpus
 from crekit.engine import (
     LengthSet,
     Nfa,
+    bits,
     enumerate_words,
     expand,
     glushkov,
@@ -18,6 +20,7 @@ from crekit.engine import (
     node_count,
     occurrence_count,
     parse_word,
+    positions,
     render_word,
 )
 from crekit.errors import ExpansionCapExceeded, ExprSyntaxError, ResultTooLarge
@@ -93,48 +96,82 @@ class TestExpand:
         check(expand(e, cap=10_000))
 
 
+def transitions(nfa):
+    """The transition relation, read back through the public step."""
+    return {
+        (p, sym, q)
+        for p in range(nfa.state_count)
+        for sym in set(nfa.symbols)
+        for q in nfa.step((p,), sym)
+    }
+
+
 class TestGlushkov:
     def test_two_positions(self):
         nfa = glushkov(Concat((A, B)))
         assert nfa.state_count == 3
-        assert nfa.transitions == frozenset({(0, "a", 1), (1, "b", 2)})
-        assert nfa.accepting == frozenset({2})
+        assert transitions(nfa) == {(0, "a", 1), (1, "b", 2)}
+        assert set(bits(nfa.accepting)) == {2}
 
     def test_epsilon(self):
         nfa = glushkov(EPSILON)
         assert nfa.state_count == 1
-        assert nfa.transitions == frozenset()
-        assert nfa.accepting == frozenset({0})
+        assert transitions(nfa) == set()
+        assert set(bits(nfa.accepting)) == {0}
 
     def test_star(self):
         nfa = glushkov(Rep(A, CountRange(0, None)))
         assert nfa.state_count == 2
-        assert nfa.transitions == frozenset({(0, "a", 1), (1, "a", 1)})
-        assert nfa.accepting == frozenset({0, 1})
+        assert transitions(nfa) == {(0, "a", 1), (1, "a", 1)}
+        assert set(bits(nfa.accepting)) == {0, 1}
 
     def test_rejects_counted_input(self):
         with pytest.raises(ValueError):
             glushkov(Rep(A, CountRange(2, 3)))
 
     def test_invalid_states_rejected(self):
+        # one position: states 0 and 1
+        assert Nfa(("a",), (1, 1), (1, 1), 0b11).state_count == 2
         with pytest.raises(ValueError):
-            Nfa(2, 5, frozenset(), frozenset())
+            Nfa(("a",), (1, 0), (0b10, 0), 0)  # follow set holds state 2
         with pytest.raises(ValueError):
-            Nfa(2, 0, frozenset({3}), frozenset())
+            Nfa(("a",), (5, 0), (1, 0), 0)  # follow set holds state 5
         with pytest.raises(ValueError):
-            Nfa(2, 0, frozenset(), frozenset({(0, "a", 9)}))
+            Nfa(("a",), (1, 0), (1, 0), 0b100)  # accepting set holds state 2
+        with pytest.raises(ValueError):
+            Nfa(("a",), (1,), (1,), 0)  # no follow set for state 1
 
     @pytest.mark.parametrize("u", [1, 2, 10, 300])
     def test_counter_transitions_are_linear(self, u):
         # a flat chain of optional copies would give u(u+1)/2
         nfa = glushkov(expand(parse_expr(f"a{{0,{u}}}")))
-        assert len(nfa.transitions) <= 2 * u + 1
+        assert sum(mask.bit_count() for mask in nfa.follow) <= 2 * u + 1
+        assert len(transitions(nfa)) <= 2 * u + 1
+
+    @pytest.mark.parametrize("u", [10, 1000, 100_000])
+    def test_follow_masks_are_packed(self, u):
+        # Each mask is stored shifted to its lowest member; unshifted, the
+        # mask of position p alone would take p bits, O(u^2) in all.
+        nfa = glushkov(expand(parse_expr(f"a{{0,{u}}}"), cap=10 * u))
+        assert sum(mask.bit_length() for mask in nfa.follow) <= 2 * u + 1
 
     @given(expressions())
     @settings(max_examples=150, deadline=None)
     def test_state_count_is_positions_plus_one(self, e):
         expanded = expand(e, cap=10_000)
         assert glushkov(expanded).state_count == occurrence_count(expanded) + 1
+
+    @given(expressions(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_step_matches_follow_sets(self, e, data):
+        expanded = expand(e, cap=10_000)
+        nfa, sets = glushkov(expanded), positions(expanded)
+        states = data.draw(st.sets(st.integers(0, nfa.state_count - 1)))
+        for sym in set(sets.symbols) | {"z"}:
+            expected = {
+                q for p in states for q in sets.follow[p] if sets.symbols[q - 1] == sym
+            }
+            assert nfa.step(states, sym) == expected
 
 
 class TestMember:
@@ -198,6 +235,16 @@ class TestEnumerate:
     def test_word_limit(self):
         with pytest.raises(ResultTooLarge):
             enumerate_words(parse_expr("(a|b|c){0,6}"), 6, word_limit=100)
+
+    def test_pending_prefixes_are_charged(self):
+        # no word up to length 16, but 2^k pending prefixes after k symbols
+        with pytest.raises(ResultTooLarge):
+            enumerate_words(parse_expr("(a|b){16,} c"), 16, word_limit=1000)
+
+    def test_last_round_keeps_no_prefixes(self):
+        # 1023 words; a frontier after length 10 would hold 1536 prefixes
+        words = enumerate_words(parse_expr("(a|b){0,10} c"), 10, word_limit=1100)
+        assert len(words) == 1023
 
     @given(expressions())
     @settings(max_examples=100, deadline=None)
