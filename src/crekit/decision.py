@@ -1,14 +1,23 @@
 """Inclusion, overlap and equivalence of counted regular expressions.
 
 Inclusion L(left) <= L(right) is decided on the product of the left
-position automaton with the lazily determinized complement of the right
-one: a breadth-first search that explores symbols in union-alphabet order,
-so the first counterexample found is the shortest one, ties broken
-lexicographically.  Determinization is built on the fly and the number of
-discovered product states is charged against an explicit budget --
-inclusion of counted expressions is genuinely hard, and a blowup must fail
-loudly rather than hang.  Overlap searches the product of the two automata
-in the same order, under the same budget.
+position automaton with the lazily determinized right one; overlap on the
+product of the two position automata.  Both run one breadth-first search
+over pairs of a left state and a right key (a right subset for inclusion,
+a single right state for overlap).  The pairs first discovered at one
+depth form a layer, stored as a dict from right key to the bitmask of the
+left states paired with it, so a whole group advances on a symbol with one
+AND.  Left states are never merged into subsets: determinizing the left
+side as well is exponential on expressions such as ``(a|b)* a (a|b){18}``.
+
+When a layer holds a goal pair the layer is finished, a backward pass over
+the stored layers keeps the pairs that lead to a goal, and a forward walk
+takes at each step the smallest symbol that stays on a kept pair.  It
+follows every pair the word so far reaches, not one of them, so the
+witness is the shortest word, ties broken lexicographically in
+union-alphabet order.  Every discovered pair is charged against an
+explicit budget: inclusion of counted expressions is NP-hard even for
+unambiguous ones, and a blowup must fail loudly rather than hang.
 
 A symbol occurring in only one of the two expressions still counts as a
 shared alphabet symbol; the other side simply accepts no word containing
@@ -17,10 +26,9 @@ it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .engine import DEFAULT_EXPANSION_CAP, Nfa, Word, expand, glushkov
+from .engine import DEFAULT_EXPANSION_CAP, Nfa, Word, bits, expand, glushkov
 from .errors import StateBudgetExceeded
 from .syntax import Expr, alphabet_of
 
@@ -75,67 +83,169 @@ def union_alphabet(left: Expr, right: Expr) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _trace(parents, pair) -> Word:
+class _Right:
+    """The right side of a product search: keys numbered as discovered.
+
+    A key is a set of right states.  Inclusion keeps each successor subset
+    whole as one key (the lazily determinized right side, where the empty
+    subset is a rejecting sink); overlap, with ``split``, makes one key per
+    state.  ``rows[k][i]`` caches the ids of the successor keys of key k on
+    symbol i, or is None until first asked for, so the search handles small
+    ids and never rehashes a subset it has seen.
+    """
+
+    def __init__(self, b: Nfa, masks: list[int], split: bool):
+        self.b, self.masks, self.split = b, masks, split
+        self.ids: dict[int, int] = {}
+        self.keys: list[int] = []
+        self.reaches: list[int | None] = []
+        self.rows: list[list[tuple[int, ...] | None]] = []
+
+    def intern(self, key: int) -> int:
+        k = self.ids.get(key)
+        if k is None:
+            k = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.reaches.append(None)
+            self.rows.append([None] * len(self.masks))
+        return k
+
+    def successors(self, k: int, i: int) -> tuple[int, ...]:
+        """Fill in and return ``rows[k][i]``."""
+        reach = self.reaches[k]
+        if reach is None:
+            reach = self.reaches[k] = self.b.reach(self.keys[k])
+        targets = reach & self.masks[i]
+        if not self.split:
+            row = (self.intern(targets),)
+        elif not targets & (targets - 1):  # at most one state
+            row = (self.intern(targets),) if targets else ()
+        else:
+            row = tuple([self.intern(1 << r) for r in bits(targets)])
+        self.rows[k][i] = row
+        return row
+
+
+def _moves(a: Nfa, states: int, a_masks: list[int]) -> list[tuple[int, int]]:
+    """``(symbol index, successor states)`` for each symbol ``states`` can read."""
+    reach = a.reach(states)
+    return [(i, reach & m) for i, m in enumerate(a_masks) if reach & m]
+
+
+def _search(
+    a: Nfa, b: Nfa, syms: tuple[str, ...], split: bool, state_budget: int
+) -> Word | None:
+    """Shortest-lex word leading the product of ``a`` and ``b`` to a goal.
+
+    A product pair is a left state q and a right key K (see ``_Right``).  A
+    layer holds the pairs first discovered at one depth, as a dict from the
+    id of K to the bitmask of its left states, so a group advances on a
+    symbol with one cached move of its whole mask and one cached right row.
+    A pair is a goal when q accepts and K rejects (inclusion, ``split``
+    false) or K accepts (overlap, ``split`` true).  Every discovered pair is
+    charged to ``state_budget``.  Returns None when no goal is reachable.
+    """
+    a_masks = [a.symbol_masks.get(sym, 0) for sym in syms]
+    right = _Right(b, [b.symbol_masks.get(sym, 0) for sym in syms], split)
+    keys, rows, successors = right.keys, right.rows, right.successors
+    a_accepting, b_accepting = a.accepting, b.accepting
+    moves: dict[int, list[tuple[int, int]]] = {}
+    layer = {right.intern(1): 1}  # the initial left state with the initial right key
+    seen = dict(layer)
+    layers = [layer]
+    found = 1
+    while layer:
+        goals = {
+            k: states & a_accepting
+            for k, states in layer.items()
+            if states & a_accepting and bool(keys[k] & b_accepting) == split
+        }
+        if goals:
+            return _witness(a, a_masks, syms, layers, goals, rows, moves)
+        following: dict[int, int] = {}
+        for k, states in layer.items():
+            row = rows[k]
+            step = moves.get(states)
+            if step is None:
+                step = moves[states] = _moves(a, states, a_masks)
+            for i, targets in step:
+                nexts = row[i]
+                if nexts is None:
+                    nexts = successors(k, i)
+                for k2 in nexts:
+                    old = seen.get(k2, 0)
+                    new = targets & ~old
+                    if new:
+                        seen[k2] = old | new
+                        following[k2] = following.get(k2, 0) | new
+                        found += new.bit_count()
+            if found > state_budget:
+                raise StateBudgetExceeded(state_budget, found, len(layers))
+        layer = following
+        layers.append(layer)
+    return None
+
+
+def _witness(a: Nfa, a_masks, syms, layers, goals, rows, moves) -> Word:
+    """Spell the shortest-lex word from the first layer to ``goals``.
+
+    Every pair on a shortest path to a goal lies in the layer of its depth,
+    so a backward pass keeps, layer by layer, the pairs with a successor
+    kept in the next one.  The forward walk then follows the set of kept
+    pairs reached by the word so far and takes the smallest symbol that
+    reaches a kept pair of the next layer.
+    """
+    follow, offsets = a.follow, a.offsets
+    live = [goals]
+    for layer in reversed(layers[:-1]):
+        after = live[-1]
+        kept: dict[int, int] = {}
+        for k, states in layer.items():
+            hit = 0
+            row = rows[k]
+            for i, targets in moves[states]:
+                for k2 in row[i]:
+                    target = after.get(k2, 0) & targets
+                    if not target:
+                        continue
+                    if not states & (states - 1):  # one state: it is kept
+                        hit = states
+                        break
+                    for q in bits(states & ~hit):
+                        if follow[q] << offsets[q] & target:
+                            hit |= 1 << q
+            if hit:
+                kept[k] = hit
+        live.append(kept)
+    live.reverse()
     word = []
-    while parents[pair] is not None:
-        prev, sym = parents[pair]
-        word.append(sym)
-        pair = prev
-    return tuple(reversed(word))
-
-
-def _ordered(row: dict[str, list[int]], rank: dict[str, int]):
-    """A row of ``Nfa.targets`` as ``(index, symbol, targets)`` in alphabet order."""
-    return sorted((rank[sym], sym, targets) for sym, targets in row.items())
+    current = live[0]
+    for after in live[1:]:
+        steps: dict[int, dict[int, int]] = {}
+        for k, states in current.items():
+            row = rows[k]
+            step = moves.get(states)
+            if step is None:
+                step = moves[states] = _moves(a, states, a_masks)
+            for i, targets in step:
+                for k2 in row[i]:
+                    new = targets & after.get(k2, 0)
+                    if new:
+                        group = steps.setdefault(i, {})
+                        group[k2] = group.get(k2, 0) | new
+        i = min(steps)
+        word.append(syms[i])
+        current = steps[i]
+    return tuple(word)
 
 
 def _includes(
     a: Nfa, b: Nfa, syms: tuple[str, ...], state_budget: int
 ) -> InclusionVerdict:
-    """The product search of ``includes`` on built automata.
-
-    A product state (q, S) of a left state q and a right subset S is the int
-    ``S << width | q``; the search starts from (0, {0}).  Each distinct S
-    gets one row of successor subsets, one per symbol, from a single
-    ``b.reach(S)``.
-    """
-    width = a.state_count.bit_length()
-    low = (1 << width) - 1
-    rank = {sym: i for i, sym in enumerate(syms)}
-    masks = [b.symbol_masks.get(sym, 0) for sym in syms]
-    rows: list = [None] * a.state_count
-    det_rows: dict[int, list[int]] = {}
-    a_accepting, b_accepting = a.accepting, b.accepting
-    if a_accepting & 1 and not b_accepting & 1:
-        return InclusionVerdict(holds=False, witness=())
-    start = 1 << width
-    parents: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        qa, det = pair & low, pair >> width
-        row = rows[qa]
-        if row is None:
-            row = rows[qa] = _ordered(a.targets(qa), rank)
-        det_row = det_rows.get(det)
-        if det_row is None:
-            reach = b.reach(det)
-            det_row = det_rows[det] = [reach & mask for mask in masks]
-        for i, sym, targets in row:
-            det2 = det_row[i]
-            high = det2 << width
-            rejected = not det2 & b_accepting
-            for qa2 in targets:
-                nxt = high | qa2
-                if nxt in parents:
-                    continue
-                parents[nxt] = (pair, sym)
-                if len(parents) > state_budget:
-                    raise StateBudgetExceeded(state_budget)
-                if rejected and a_accepting >> qa2 & 1:
-                    return InclusionVerdict(holds=False, witness=_trace(parents, nxt))
-                queue.append(nxt)
-    return InclusionVerdict(holds=True)
+    """``includes`` on built automata: a search for a pair (q, S) with q
+    accepting and the right subset S rejecting."""
+    witness = _search(a, b, syms, False, state_budget)
+    return InclusionVerdict(holds=witness is None, witness=witness)
 
 
 def includes(
@@ -148,7 +258,11 @@ def includes(
     """Decide L(left) <= L(right) over the union alphabet.
 
     On failure the witness is the shortest word of L(left) - L(right),
-    lexicographic ties broken by union-alphabet order.
+    lexicographic ties broken by union-alphabet order.  Every discovered
+    product state is charged against ``state_budget``; on a failing query
+    the layer holding the first counterexample is finished before the
+    witness is chosen, so the budget can run out up to one layer earlier
+    than a search that stops at the first counterexample it meets.
     """
     syms = union_alphabet(left, right)
     a = glushkov(expand(left, cap))
@@ -170,43 +284,8 @@ def overlaps(
     syms = union_alphabet(left, right)
     a = glushkov(expand(left, cap))
     b = glushkov(expand(right, cap))
-    width = a.state_count.bit_length()
-    low = (1 << width) - 1
-    rank = {sym: i for i, sym in enumerate(syms)}
-    rows_a: list = [None] * a.state_count
-    rows_b: list = [None] * b.state_count
-    a_accepting, b_accepting = a.accepting, b.accepting
-    if a_accepting & b_accepting & 1:
-        return OverlapVerdict(overlaps=True, witness=())
-    start = 0  # the pair of initial states, packed as qb << width | qa
-    parents: dict = {start: None}
-    queue = deque([start])
-    while queue:
-        pair = queue.popleft()
-        qa, qb = pair & low, pair >> width
-        row_a = rows_a[qa]
-        if row_a is None:
-            row_a = rows_a[qa] = _ordered(a.targets(qa), rank)
-        row_b = rows_b[qb]
-        if row_b is None:
-            row_b = rows_b[qb] = b.targets(qb)
-        for _, sym, targets_a in row_a:
-            targets_b = row_b.get(sym)
-            if not targets_b:
-                continue
-            for qa2 in targets_a:
-                accepted = a_accepting >> qa2 & 1
-                for qb2 in targets_b:
-                    nxt = qb2 << width | qa2
-                    if nxt in parents:
-                        continue
-                    parents[nxt] = (pair, sym)
-                    if len(parents) > state_budget:
-                        raise StateBudgetExceeded(state_budget)
-                    if accepted and b_accepting >> qb2 & 1:
-                        return OverlapVerdict(overlaps=True, witness=_trace(parents, nxt))
-                    queue.append(nxt)
-    return OverlapVerdict(overlaps=False)
+    witness = _search(a, b, syms, True, state_budget)
+    return OverlapVerdict(overlaps=witness is not None, witness=witness)
 
 
 def equivalent(

@@ -328,18 +328,12 @@ class Nfa:
             return self.follow[q] << self.offsets[q] if q >= 0 else 0
         out = 0
         follow, offsets = self.follow, self.offsets
-        for q in bits(states):
+        while states:  # the loop of ``bits``, inlined: this is the hot path
+            low = states & -states
+            q = low.bit_length() - 1
             out |= follow[q] << offsets[q]
+            states ^= low
         return out
-
-    def targets(self, q: int) -> dict[str, list[int]]:
-        """Successors of state q by symbol, each list ascending."""
-        row: dict[str, list[int]] = {}
-        offset, symbols = self.offsets[q], self.symbols
-        for r in bits(self.follow[q]):
-            p = offset + r
-            row.setdefault(symbols[p - 1], []).append(p)
-        return row
 
     def step(self, states, symbol: str) -> frozenset[int]:
         """Successors of an iterable of states on ``symbol``, as a set."""

@@ -58,9 +58,14 @@ class StateBudgetExceeded(CrekitError):
 
     code = "STATE_BUDGET"
 
-    def __init__(self, budget: int):
-        super().__init__(f"product-state budget of {budget} exceeded")
+    def __init__(self, budget: int, found: int, depth: int):
+        super().__init__(
+            f"product-state budget of {budget} exceeded:"
+            f" {found} pairs found by depth {depth}"
+        )
         self.budget = budget
+        self.found = found
+        self.depth = depth
 
 
 class ResultTooLarge(CrekitError):

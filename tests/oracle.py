@@ -5,8 +5,10 @@ the partition oracle enumerates subsets with itertools; neither uses the
 library's automaton pipeline.  The inclusion reference enumerates the left
 language and membership-tests the right one: it shares ``union_alphabet``,
 ``expand``, ``glushkov`` and ``language_iter`` with the library, but not the
-product search that ``crekit.decision.includes`` runs.  Expected values in
-the tests are frozen from (or re-checked against) these.
+product search that ``crekit.decision.includes`` runs.  The overlap
+reference intersects two ``brute_language`` enumerations and shares no code
+with ``crekit.decision``.  Expected values in the tests are frozen from (or
+re-checked against) these.
 """
 
 from dataclasses import dataclass
@@ -86,6 +88,56 @@ def includes_reference(left, right, len_bound):
             return ReferenceVerdict(holds=False, witness=word)
     complete = len_bound >= a.state_count * b.state_count
     return ReferenceVerdict(holds=True, checked_up_to=None if complete else len_bound)
+
+
+def max_length(e):
+    """Length of the longest word of L(e); None when L(e) is infinite."""
+    if isinstance(e, Symbol):
+        return 1
+    if isinstance(e, Epsilon):
+        return 0
+    if isinstance(e, Rep):
+        inner = max_length(e.inner)
+        if inner == 0:
+            return 0
+        if inner is None or e.count.high is None:
+            return None
+        return inner * e.count.high
+    lengths = [max_length(x) for x in (e.branches if isinstance(e, Alt) else e.parts)]
+    if None in lengths:
+        return None
+    return max(lengths) if isinstance(e, Alt) else sum(lengths)
+
+
+def symbol_order(*exprs):
+    """Distinct symbols of ``exprs`` in order of first occurrence, left to right."""
+    order = {}
+    stack = list(reversed(exprs))
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Symbol):
+            order.setdefault(e.name)
+        elif isinstance(e, Rep):
+            stack.append(e.inner)
+        elif isinstance(e, (Alt, Concat)):
+            stack.extend(reversed(e.branches if isinstance(e, Alt) else e.parts))
+    return tuple(order)
+
+
+def shortlex_first(words, order):
+    """The shortest word of ``words``, ties broken by ``order``; None if empty."""
+    rank = {sym: i for i, sym in enumerate(order)}
+    return min(words, key=lambda w: (len(w), [rank[s] for s in w]), default=None)
+
+
+def overlaps_reference(left, right, max_len):
+    """Shortest-lex word of L(left) & L(right) up to ``max_len``, or None.
+
+    Enumerates both languages with ``brute_language`` and orders symbols as
+    ``overlaps`` does: those of left first, then those private to right.
+    """
+    common = brute_language(left, max_len) & brute_language(right, max_len)
+    return shortlex_first(common, symbol_order(left, right))
 
 
 def naive_partition(weights):

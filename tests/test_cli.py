@@ -135,6 +135,12 @@ class TestDecisionCommands:
         assert code == 1
         assert out.splitlines() == ["fails", "witness: a"]
 
+    def test_include_witness_is_shortest_lex(self, capsys):
+        left = "(c a|c c a|c{2,2}|a{0,4}a c|(a a){0,3})c"
+        code, out, _ = run_cli(capsys, "include", left, "c")
+        assert code == 1
+        assert out.splitlines() == ["fails", "witness: c c c"]
+
     def test_include_budget_exit(self, capsys):
         code, _, err = run_cli(
             capsys, "include", "a{1,3}", "a{2,2}", "--budget", "1"

@@ -1,18 +1,28 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import expressions
+from conftest import expressions, random_expr
 from crekit.decision import (
     equivalent,
     includes,
     overlaps,
     union_alphabet,
 )
-from crekit.engine import member
+from crekit.engine import expand, glushkov, member
 from crekit.errors import StateBudgetExceeded
 from crekit.partition import PartitionInstance, build_expressions
-from crekit.syntax import alt, parse_expr
-from oracle import brute_language, includes_reference
+from crekit.syntax import alt, parse_expr, render_expr
+from oracle import (
+    brute_language,
+    glushkov_is_deterministic,
+    includes_reference,
+    max_length,
+    overlaps_reference,
+    shortlex_first,
+    symbol_order,
+)
 
 
 class TestIncludes:
@@ -42,6 +52,29 @@ class TestIncludes:
     def test_budget_failure_is_loud(self):
         with pytest.raises(StateBudgetExceeded):
             includes(parse_expr("a{1,3}"), parse_expr("a{2,2}"), state_budget=1)
+
+    def test_budget_error_reports_progress(self):
+        # one new pair per depth: a^d reaches (a^d, {a^d}) and nothing else
+        with pytest.raises(StateBudgetExceeded) as caught:
+            includes(parse_expr("a{0,10}"), parse_expr("a{0,10}"), state_budget=5)
+        exc = caught.value
+        assert (exc.budget, exc.found, exc.depth) == (5, 6, 5)
+        assert str(exc) == "product-state budget of 5 exceeded: 6 pairs found by depth 5"
+
+    def test_witness_follows_every_pair_of_an_access_word(self):
+        # "c" reaches several left states; the children of a later one on the
+        # smallest symbol (c) must still come before those of an earlier one on
+        # a larger symbol (a): c c c is in the left language and not c
+        left = parse_expr("(c a|c c a|c{2,2}|a{0,4}a c|(a a){0,3})c")
+        verdict = includes(left, parse_expr("c"))
+        assert verdict.witness == ("c", "c", "c")
+        assert verdict.witness == includes_reference(left, parse_expr("c"), 9).witness
+
+    def test_nondeterministic_left_is_not_determinized(self):
+        # its 40 states reach about 2^19 subsets; determinizing them would
+        # blow the budget
+        left = parse_expr("(a|b)* a (a|b){18}")
+        assert includes(left, parse_expr("(a|b)*"), state_budget=1_000).holds
 
     def test_private_right_symbols_do_not_help(self):
         assert includes(parse_expr("a{1,1}"), parse_expr("a{1,1}|b{1,1}")).holds
@@ -95,6 +128,18 @@ class TestOverlaps:
         assert verdict.overlaps
         assert verdict.witness == ()
 
+    def test_witness_follows_every_pair_of_an_access_word(self):
+        left = parse_expr("(c|c{2,2}|b|b|b)b(%|%|c|c b|c|b|c)")
+        right = parse_expr("(c|c b){2,3}")
+        assert overlaps(left, right).witness == ("c", "c", "b")
+        assert overlaps_reference(left, right, 6) == ("c", "c", "b")
+
+    def test_nondeterministic_sides_are_not_determinized(self):
+        # disjoint: position -22 is a on the left and b on the right
+        left = parse_expr("(a|b)* a (a|b){20} c")
+        right = parse_expr("(a|b)* b (a|b){20} c")
+        assert not overlaps(left, right, state_budget=10_000).overlaps
+
 
 class TestEquivalent:
     def test_reflexive(self):
@@ -138,3 +183,42 @@ def test_witnesses_are_valid(left, right):
 def test_inclusion_monotonicity(e, f):
     assert includes(e, e, cap=20_000, state_budget=200_000).holds
     assert includes(e, alt([e, f]), cap=20_000, state_budget=200_000).holds
+
+
+def _nondeterministic_pairs(count, seed):
+    """Seeded pairs of finite expressions whose left automaton is
+    nondeterministic, with every word no longer than 8."""
+    rng = random.Random(seed)
+    while count:
+        symbols = ("a", "b", "c")[: rng.choice((2, 3))]
+        left = random_expr(rng, 4, symbols, allow_unbounded=False)
+        right = random_expr(rng, 4, symbols, allow_unbounded=False)
+        bound = max(max_length(left), max_length(right))
+        if bound <= 8 and not glushkov_is_deterministic(glushkov(expand(left))):
+            count -= 1
+            yield left, right, bound
+
+
+def test_witnesses_match_brute_force_shortest_lex():
+    """Every witness is the shortest-lex word the enumerated languages give."""
+    wrong = []
+    for left, right, bound in _nondeterministic_pairs(1500, seed=20261018):
+        lang_l, lang_r = brute_language(left, bound), brute_language(right, bound)
+        only_left = shortlex_first(lang_l - lang_r, symbol_order(left, right))
+        only_right = shortlex_first(lang_r - lang_l, symbol_order(right, left))
+        if only_left is not None:
+            want_eq = (only_left, "left")
+        elif only_right is not None:
+            want_eq = (only_right, "right")
+        else:
+            want_eq = (None, None)
+        eq = equivalent(left, right)
+        got = (
+            includes(left, right).witness,
+            overlaps(left, right).witness,
+            (eq.witness, eq.side),
+        )
+        want = (only_left, overlaps_reference(left, right, bound), want_eq)
+        if got != want:
+            wrong.append((render_expr(left), render_expr(right), got, want))
+    assert wrong == []
