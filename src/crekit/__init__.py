@@ -31,7 +31,6 @@ from .engine import (
     length_set,
     member,
     node_count,
-    occurrence_count,
     parse_word,
     positions,
     render_word,
@@ -78,7 +77,6 @@ from .unambiguity import (
     UnambiguityVerdict,
     check_unambiguous,
     is_single_occurrence,
-    marked_sets,
 )
 
 __version__ = "0.1.0"

@@ -81,11 +81,6 @@ def node_count(e: Expr) -> int:
     return len(postorder(e))
 
 
-def occurrence_count(e: Expr) -> int:
-    """Number of symbol occurrences (Glushkov positions) in ``e``."""
-    return sum(type(x) is Symbol for x in postorder(e))
-
-
 # --- counter expansion -------------------------------------------------------
 
 
@@ -490,38 +485,35 @@ def _rep_lengths(
     return result, dropped
 
 
-def _lengths(e: Expr, cutoff: int) -> tuple[set[int], bool]:
-    if isinstance(e, Symbol):
-        return ({1}, False) if cutoff >= 1 else (set(), True)
-    if isinstance(e, Epsilon):
-        return {0}, False
-    if isinstance(e, Alt):
-        members: set[int] = set()
-        saturated = False
-        for b in e.branches:
-            m, sat = _lengths(b, cutoff)
-            members |= m
-            saturated = saturated or sat
-        return members, saturated
-    if isinstance(e, Concat):
-        acc = {0}
-        saturated = False
-        for part in e.parts:
-            m, sat = _lengths(part, cutoff)
-            saturated = saturated or sat
-            acc, dropped = _trunc_sumset(acc, m, cutoff)
-            saturated = saturated or dropped
-        return acc, saturated
-    if isinstance(e, Rep):
-        m, sat = _lengths(e.inner, cutoff)
-        members, dropped = _rep_lengths(m, e.count.low, e.count.high, cutoff)
-        return members, sat or dropped
-    raise TypeError(f"not an Expr: {e!r}")
-
-
 def length_set(e: Expr, cutoff: int) -> LengthSet:
     """Lengths of words of L(e) up to ``cutoff``, computed structurally."""
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
-    members, saturated = _lengths(e, cutoff)
+    done: list[tuple[set[int], bool]] = []  # (lengths, saturated) per subtree
+    for x in postorder(e):
+        t = type(x)
+        if t is Symbol:
+            done.append(({1}, False))
+        elif t is Epsilon:
+            done.append(({0}, False))
+        elif t is Alt:
+            k = len(x.branches)
+            members: set[int] = set()
+            saturated = False
+            for m, sat in done[-k:]:
+                members |= m
+                saturated = saturated or sat
+            done[-k:] = [(members, saturated)]
+        elif t is Concat:
+            k = len(x.parts)
+            members, saturated = {0}, False
+            for m, sat in done[-k:]:
+                members, dropped = _trunc_sumset(members, m, cutoff)
+                saturated = saturated or sat or dropped
+            done[-k:] = [(members, saturated)]
+        else:
+            m, sat = done[-1]
+            members, dropped = _rep_lengths(m, x.count.low, x.count.high, cutoff)
+            done[-1] = (members, sat or dropped)
+    members, saturated = done[0]
     return LengthSet(frozenset(members), saturated)

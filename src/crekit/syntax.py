@@ -23,6 +23,12 @@ A symbol lexeme is a letter followed by letters or digits, so ``a0`` and
 whitespace (``a b``, not ``ab`` -- the latter is one two-letter symbol).
 Whitespace is otherwise insignificant.
 
+The parser is one loop over the token list that keeps each open group on an
+explicit stack, and every walk over a tree evaluates ``postorder`` with a
+value stack, so the nesting depth of an expression is bounded by memory,
+not by the recursion limit.  (The generated dataclass ``==``, ``hash`` and
+``repr`` of the nodes still recurse.)
+
 All AST values are immutable and structurally comparable; every function
 here is pure.
 """
@@ -30,7 +36,7 @@ here is pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ExprSyntaxError, InvalidCountError
 
@@ -172,9 +178,10 @@ def postorder(e: Expr) -> list[Expr]:
     Symbols therefore come in document order, and a shared subtree is listed
     once per occurrence.  The walk keeps its own stack, so the depth of an
     expression is bounded by memory rather than by the recursion limit:
-    counter expansion nests one level per optional copy.  Callers evaluate
-    the list with a value stack, where a node with k children replaces the
-    top k values.
+    parsed text may nest groups arbitrarily, and counter expansion nests one
+    level per optional copy.  Every tree walk in crekit (rendering, length
+    sets, counter expansion, position analysis) evaluates this list with a
+    value stack, where a node with k children replaces the top k values.
     """
     order: list[Expr] = []
     todo = [e]
@@ -239,95 +246,41 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    """Recursive-descent parser over the token stream."""
+_SUGAR = {"?": (0, 1), "*": (0, UNBOUNDED), "+": (1, UNBOUNDED)}
+_ATOM_START = ("symbol", "%", "(")
 
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.cur
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        if self.cur.kind != kind:
-            raise ExprSyntaxError(
-                f"expected {kind!r}, found {self.cur.text or 'end of input'!r}",
-                self.cur.pos,
-            )
-        return self.advance()
-
-    def parse_expr(self) -> Expr:
-        branches = [self.parse_cat()]
-        while self.cur.kind == "|":
-            self.advance()
-            branches.append(self.parse_cat())
-        return alt(branches)
-
-    def parse_cat(self) -> Expr:
-        parts = [self.parse_rep()]
-        while self.cur.kind in ("symbol", "%", "("):
-            parts.append(self.parse_rep())
-        return concat(parts)
-
-    def parse_rep(self) -> Expr:
-        atom = self.parse_atom()
-        kind = self.cur.kind
-        if kind == "{":
-            pos = self.cur.pos
-            low, high = self.parse_braced_count()
-            try:
-                return rep(atom, low, high)
-            except InvalidCountError as exc:
-                raise InvalidCountError(str(exc), pos) from None
-        if kind == "?":
-            self.advance()
-            return rep(atom, 0, 1)
-        if kind == "*":
-            self.advance()
-            return rep(atom, 0, UNBOUNDED)
-        if kind == "+":
-            self.advance()
-            return rep(atom, 1, UNBOUNDED)
-        return atom
-
-    def parse_braced_count(self) -> tuple[int, int | None]:
-        self.expect("{")
-        low = int(self.expect("int").text)
-        if self.cur.kind == "}":
-            self.advance()
-            return low, low
-        self.expect(",")
-        if self.cur.kind == "}":
-            self.advance()
-            return low, UNBOUNDED
-        high = int(self.expect("int").text)
-        self.expect("}")
-        return low, high
-
-    def parse_atom(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "symbol":
-            self.advance()
-            return Symbol(tok.text)
-        if tok.kind == "%":
-            self.advance()
-            return EPSILON
-        if tok.kind == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
+def _expect(tokens: list[_Token], i: int, kind: str) -> str:
+    tok = tokens[i]
+    if tok.kind != kind:
         raise ExprSyntaxError(
-            f"expected a symbol, '%' or '(', found {tok.text or 'end of input'!r}",
-            tok.pos,
+            f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos
         )
+    return tok.text
+
+
+def _count(
+    tokens: list[_Token], i: int
+) -> tuple[tuple[int, int | None] | None, int]:
+    """Read at most one occurrence indicator, starting at tokens[i].
+
+    Returns its bounds (low, high), or None when there is none, and the
+    index of the next token.
+    """
+    kind = tokens[i].kind
+    if kind in _SUGAR:
+        return _SUGAR[kind], i + 1
+    if kind != "{":
+        return None, i
+    low = int(_expect(tokens, i + 1, "int"))
+    if tokens[i + 2].kind == "}":
+        return (low, low), i + 3
+    _expect(tokens, i + 2, ",")
+    if tokens[i + 3].kind == "}":
+        return (low, UNBOUNDED), i + 4
+    high = int(_expect(tokens, i + 3, "int"))
+    _expect(tokens, i + 4, "}")
+    return (low, high), i + 5
 
 
 def parse_expr(text: str) -> Expr:
@@ -336,34 +289,59 @@ def parse_expr(text: str) -> Expr:
     Raises ExprSyntaxError with the offending position, or InvalidCountError
     for indicators with low > high or the degenerate {0,0}.
     """
-    parser = _Parser(_tokenize(text))
-    e = parser.parse_expr()
-    if parser.cur.kind != "eof":
-        raise ExprSyntaxError(
-            f"unexpected {parser.cur.text!r} after expression", parser.cur.pos
-        )
-    return e
+    tokens = _tokenize(text)
+    groups: list[tuple[list[Expr], list[Expr]]] = []  # enclosing (branches, parts)
+    branches: list[Expr] = []  # finished branches of the innermost open group
+    parts: list[Expr] = []  # finished parts of its current branch
+    i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
+        if tok.kind == "(":
+            groups.append((branches, parts))
+            branches, parts = [], []
+            continue
+        if tok.kind == "symbol":
+            atom = Symbol(tok.text)
+        elif tok.kind == "%":
+            atom = EPSILON
+        else:
+            raise ExprSyntaxError(
+                f"expected a symbol, '%' or '(', found {tok.text or 'end of input'!r}",
+                tok.pos,
+            )
+        # An atom is complete: take its count, then close every group that
+        # ends here; each closed group is an atom that may carry a count.
+        while True:
+            pos = tokens[i].pos
+            count, i = _count(tokens, i)
+            if count is not None:
+                try:
+                    atom = rep(atom, *count)
+                except InvalidCountError as exc:
+                    raise InvalidCountError(str(exc), pos) from None
+            parts.append(atom)
+            tok = tokens[i]
+            if tok.kind in _ATOM_START:
+                break
+            branches.append(concat(parts))
+            parts = []
+            if tok.kind == "|":
+                i += 1
+                break
+            atom = alt(branches)
+            if not groups:
+                if tok.kind != "eof":
+                    raise ExprSyntaxError(
+                        f"unexpected {tok.text!r} after expression", tok.pos
+                    )
+                return atom
+            _expect(tokens, i, ")")
+            i += 1
+            branches, parts = groups.pop()
 
 
 # --- renderer --------------------------------------------------------------
-
-
-def _render(e: Expr) -> str:
-    if isinstance(e, Symbol):
-        return e.name
-    if isinstance(e, Epsilon):
-        return "%"
-    if isinstance(e, Alt):
-        return "(" + "|".join(_render(b) for b in e.branches) + ")"
-    if isinstance(e, Concat):
-        return _join_parts([_render(p) for p in e.parts])
-    if isinstance(e, Rep):
-        body = _render(e.inner)
-        # Only symbols and parenthesized groups may carry a count directly.
-        if isinstance(e.inner, (Concat, Rep)):
-            body = "(" + body + ")"
-        return body + e.count.render()
-    raise TypeError(f"not an Expr: {e!r}")
 
 
 def _join_parts(chunks: list[str]) -> str:
@@ -378,4 +356,23 @@ def _join_parts(chunks: list[str]) -> str:
 
 def render_expr(e: Expr) -> str:
     """Render ``e`` as expression text; re-parsing yields an equal AST."""
-    return _render(e)
+    out: list[str] = []
+    for x in postorder(e):
+        t = type(x)
+        if t is Symbol:
+            out.append(x.name)
+        elif t is Epsilon:
+            out.append("%")
+        elif t is Alt:
+            k = len(x.branches)
+            out[-k:] = ["(" + "|".join(out[-k:]) + ")"]
+        elif t is Concat:
+            k = len(x.parts)
+            out[-k:] = [_join_parts(out[-k:])]
+        else:
+            # Only symbols and parenthesized groups may carry a count directly.
+            body = out[-1]
+            if type(x.inner) in (Concat, Rep):
+                body = "(" + body + ")"
+            out[-1] = body + x.count.render()
+    return out[0]

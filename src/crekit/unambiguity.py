@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Positions, positions
+from .engine import positions
 from .syntax import Expr, Symbol, postorder
 
 FIRST_SET = "first-set"
@@ -58,16 +58,6 @@ def is_single_occurrence(e: Expr) -> bool:
     return len(names) == len(set(names))
 
 
-def marked_sets(e: Expr) -> Positions:
-    """Nullable/first/last/follow of the original tree, counter-blind.
-
-    A repetition with upper bound >= 2 (or unbounded) always contributes the
-    iteration pairs last x first; it is nullable iff its lower bound is 0 or
-    its body is nullable.
-    """
-    return positions(e, counter_blind=True)
-
-
 def _set_conflict(members, symbols) -> tuple[int, int, str] | None:
     """Smallest same-symbol position pair within one set, or None."""
     by_symbol: dict[str, list[int]] = {}
@@ -91,7 +81,7 @@ def check_unambiguous(e: Expr) -> UnambiguityVerdict:
     """
     if is_single_occurrence(e):
         return UnambiguityVerdict(unambiguous=True)
-    sets = marked_sets(e)
+    sets = positions(e, counter_blind=True)
     for p, succ in enumerate(sets.follow):
         hit = _set_conflict(succ, sets.symbols)
         if hit is not None:

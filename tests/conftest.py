@@ -9,6 +9,18 @@ from crekit.syntax import EPSILON, CountRange, Symbol, alt, concat, rep
 
 SYMBOLS = ("a", "b", "c")
 
+DEEP = 5_000  # nesting depth of the deep inputs, far past the recursion limit
+
+
+def nested_groups(depth=DEEP, other="c"):
+    """Text of ``depth`` nested groups: ``(a (a ... (a b|c) ...|c)|c)``."""
+    return "(a " * depth + "b" + f"|{other})" * depth
+
+
+def rendered_groups(depth=DEEP):
+    """``render_expr`` of ``parse_expr(nested_groups(depth))``."""
+    return "(a" * depth + " b" + "|c)" * depth
+
 
 def random_expr(rng, depth, symbols=SYMBOLS, allow_unbounded=True):
     if depth == 0 or rng.random() < 0.35:

@@ -124,6 +124,20 @@ def symbol_order(*exprs):
     return tuple(order)
 
 
+def occurrence_count(e):
+    """Number of symbol occurrences (automaton positions) in ``e``."""
+    count, stack = 0, [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Symbol):
+            count += 1
+        elif isinstance(x, Rep):
+            stack.append(x.inner)
+        elif isinstance(x, (Alt, Concat)):
+            stack.extend(x.branches if isinstance(x, Alt) else x.parts)
+    return count
+
+
 def shortlex_first(words, order):
     """The shortest word of ``words``, ties broken by ``order``; None if empty."""
     rank = {sym: i for i, sym in enumerate(order)}

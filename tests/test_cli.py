@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import DEEP, nested_groups, rendered_groups
 from crekit.cli import main
 
 
@@ -52,6 +53,21 @@ class TestParseCommand:
         code, out, _ = run_cli(capsys, "parse", f"@{path}")
         assert code == 0
         assert out.strip() == "(a|b){1,2}"
+
+    def test_deep_nesting_at_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.txt"
+        path.write_text(nested_groups())
+        code, out, err = run_cli(capsys, "parse", f"@{path}")
+        assert code == 0 and err == ""
+        assert out == rendered_groups() + "\n"
+
+    def test_unclosed_groups(self, capsys):
+        code, out, err = run_cli(capsys, "parse", "(" * DEEP)
+        assert code == 2 and out == ""
+        assert err == (
+            "error[SYNTAX]: expected a symbol, '%' or '(', found 'end of input'"
+            f" (at position {DEEP})\n"
+        )
 
 
 class TestMemberCommand:

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import textwrap
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expressions, make_corpus
+from conftest import expressions, make_corpus, nested_groups
 from crekit.engine import (
     LengthSet,
     Nfa,
@@ -18,7 +19,6 @@ from crekit.engine import (
     length_set,
     member,
     node_count,
-    occurrence_count,
     parse_word,
     positions,
     render_word,
@@ -35,7 +35,7 @@ from crekit.syntax import (
     alphabet_of,
     parse_expr,
 )
-from oracle import all_words, brute_language
+from oracle import all_words, brute_language, occurrence_count
 
 A, B = Symbol("a"), Symbol("b")
 
@@ -274,6 +274,10 @@ class TestLengthSet:
         assert got.members == frozenset({0, 1, 2, 3, 4})
         assert got.saturated
 
+    def test_deep_nesting(self):
+        got = length_set(parse_expr(nested_groups()), 50)
+        assert got == LengthSet(frozenset(range(1, 51)), saturated=True)
+
     def test_saturation_flags_truncated_finite(self):
         got = length_set(parse_expr("a{9,9}"), 3)
         assert got.members == frozenset()
@@ -376,14 +380,15 @@ def test_deep_expansions_need_no_recursion():
     # Expansion nests one level per optional copy; every walk over such a
     # tree must keep its own stack.  The child runs far below the depth of
     # the trees it builds.
-    child = textwrap.dedent(
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    child = f"import sys; sys.path.insert(0, {tests_dir!r})\n" + textwrap.dedent(
         """
-        import sys
         from crekit import (
             PartitionInstance, alphabet_of, check_unambiguous,
             decide_partition_via_inclusion, enumerate_words, expand, member,
-            node_count, occurrence_count, parse_expr,
+            node_count, parse_expr,
         )
+        from oracle import occurrence_count
         sys.setrecursionlimit(200)
         weights = PartitionInstance((10, 20, 10, 15, 15, 10))
         print(decide_partition_via_inclusion(weights))

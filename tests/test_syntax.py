@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from conftest import expressions
+from conftest import DEEP, expressions, nested_groups, rendered_groups
 from crekit.errors import ExprSyntaxError, InvalidCountError
 from crekit.syntax import (
     EPSILON,
@@ -14,9 +14,35 @@ from crekit.syntax import (
     alt,
     concat,
     parse_expr,
+    postorder,
     render_expr,
     rep,
 )
+
+NO_ATOM = "expected a symbol, '%' or '(', found"
+
+# text -> the exact message of the error it raises
+PARSE_ERRORS = {
+    "": f"{NO_ATOM} 'end of input' (at position 0)",
+    "(": f"{NO_ATOM} 'end of input' (at position 1)",
+    "a|": f"{NO_ATOM} 'end of input' (at position 2)",
+    "a)": "unexpected ')' after expression (at position 1)",
+    "a{": "expected 'int', found 'end of input' (at position 2)",
+    "a{2": "expected ',', found 'end of input' (at position 3)",
+    "a{2,3": "expected '}', found 'end of input' (at position 5)",
+    "{2}": f"{NO_ATOM} '{{' (at position 0)",
+    "a++b": "unexpected '+' after expression (at position 2)",
+    "a$": "unexpected character '$' (at position 1)",
+    "ab|": f"{NO_ATOM} 'end of input' (at position 3)",
+    "(a++b)": "expected ')', found '+' (at position 3)",
+    "(a b": "expected ')', found 'end of input' (at position 4)",
+    "()": f"{NO_ATOM} ')' (at position 1)",
+    "a||b": f"{NO_ATOM} '|' (at position 2)",
+    "a{1,x}": "expected 'int', found 'x' (at position 4)",
+    "a{2,}}": "unexpected '}' after expression (at position 5)",
+    "(a){3,2}": "lower count 3 exceeds upper count 2 (at position 3)",
+    "b a{0}": "upper count must be at least 1 (at position 3)",
+}
 
 
 class TestParse:
@@ -74,15 +100,21 @@ class TestParse:
         )
         assert got == want
 
-    @pytest.mark.parametrize(
-        "text",
-        ["", "(", "a|", "a)", "a{", "a{2", "a{2,3", "{2}", "a++b", "a$", "ab|"],
-    )
+    @pytest.mark.parametrize("text", list(PARSE_ERRORS))
     def test_errors_carry_position(self, text):
         with pytest.raises((ExprSyntaxError, InvalidCountError)) as info:
             parse_expr(text)
         assert info.value.position is not None
         assert 0 <= info.value.position <= len(text)
+        assert str(info.value) == PARSE_ERRORS[text]
+
+    def test_deep_nesting(self):
+        # compare text and counts: the dataclass == and repr of nodes recurse
+        e = parse_expr(nested_groups())
+        nodes, rendered = len(postorder(e)), render_expr(e)
+        assert nodes == 4 * DEEP + 1
+        assert rendered == rendered_groups()
+        assert render_expr(parse_expr(rendered)) == rendered
 
     def test_whitespace_insignificant(self):
         assert parse_expr(" ( a | b ) { 1 , 2 } ") == parse_expr("(a|b){1,2}")

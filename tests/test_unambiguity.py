@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import expressions, sugar_expressions
-from crekit.engine import glushkov
+from conftest import DEEP, expressions, nested_groups, sugar_expressions
+from crekit.engine import glushkov, positions
 from crekit.partition import PartitionInstance, build_expressions
 from crekit.syntax import Alt, Concat, CountRange, Rep, Symbol, parse_expr
 from crekit.unambiguity import (
@@ -11,7 +11,6 @@ from crekit.unambiguity import (
     UnambiguityVerdict,
     check_unambiguous,
     is_single_occurrence,
-    marked_sets,
 )
 from oracle import glushkov_is_deterministic
 
@@ -63,6 +62,13 @@ class TestCheckUnambiguous:
         assert verdict.conflict.positions == (1, 2)
         assert verdict.conflict.symbol == "a"
 
+    def test_deep_nesting(self):
+        assert check_unambiguous(parse_expr(nested_groups())).unambiguous
+        verdict = check_unambiguous(parse_expr(nested_groups(other="a")))
+        c = verdict.conflict
+        assert (c.symbol, c.locus_kind) == ("a", FIRST_SET)
+        assert c.positions == (1, 2 * DEEP + 1)
+
     def test_verdict_invariant_enforced(self):
         with pytest.raises(ValueError):
             UnambiguityVerdict(unambiguous=False, conflict=None)
@@ -74,7 +80,7 @@ class TestCheckUnambiguous:
 
 class TestMarkedSets:
     def test_star_concat(self):
-        sets = marked_sets(parse_expr("a*b"))
+        sets = positions(parse_expr("a*b"), counter_blind=True)
         assert sets.symbols == ("a", "b")
         assert not sets.nullable
         assert sets.first == {1, 2}
@@ -84,16 +90,17 @@ class TestMarkedSets:
 
     def test_counter_blind_iteration(self):
         # upper bound 1: no iteration pairs
-        once = marked_sets(Rep(Concat((A, B)), CountRange(1, 1)))
+        once = positions(Rep(Concat((A, B)), CountRange(1, 1)), counter_blind=True)
         assert once.follow[2] == frozenset()
         # upper bound 2: exit and re-entry both considered possible
-        twice = marked_sets(Rep(Concat((A, B)), CountRange(2, 2)))
+        twice = positions(Rep(Concat((A, B)), CountRange(2, 2)), counter_blind=True)
         assert twice.follow[2] == {1}
 
     def test_counter_nullability(self):
-        assert marked_sets(parse_expr("a{0,2}")).nullable
-        assert not marked_sets(parse_expr("a{2,4}")).nullable
-        assert marked_sets(Rep(parse_expr("a?"), CountRange(2, 2))).nullable
+        assert positions(parse_expr("a{0,2}"), counter_blind=True).nullable
+        assert not positions(parse_expr("a{2,4}"), counter_blind=True).nullable
+        twice = Rep(parse_expr("a?"), CountRange(2, 2))
+        assert positions(twice, counter_blind=True).nullable
 
 
 @given(expressions())
@@ -110,7 +117,7 @@ def test_conflicts_are_recheckable(e):
     if verdict.unambiguous:
         return
     c = verdict.conflict
-    sets = marked_sets(e)
+    sets = positions(e, counter_blind=True)
     p, q = c.positions
     assert p != q
     assert sets.symbols[p - 1] == sets.symbols[q - 1] == c.symbol
