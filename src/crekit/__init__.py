@@ -24,6 +24,7 @@ from .engine import (
     Nfa,
     Positions,
     Word,
+    automaton,
     enumerate_words,
     expand,
     glushkov,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import DEFAULT_EXPANSION_CAP, Nfa, Word, bits, expand, glushkov
+from .engine import DEFAULT_EXPANSION_CAP, Nfa, Word, automaton, bits
 from .errors import StateBudgetExceeded
 from .syntax import Expr, alphabet_of
 
@@ -265,8 +265,8 @@ def includes(
     than a search that stops at the first counterexample it meets.
     """
     syms = union_alphabet(left, right)
-    a = glushkov(expand(left, cap))
-    b = glushkov(expand(right, cap))
+    a = automaton(left, cap)
+    b = automaton(right, cap)
     return _includes(a, b, syms, state_budget)
 
 
@@ -282,8 +282,8 @@ def overlaps(
     Every discovered pair of states is charged against ``state_budget``.
     """
     syms = union_alphabet(left, right)
-    a = glushkov(expand(left, cap))
-    b = glushkov(expand(right, cap))
+    a = automaton(left, cap)
+    b = automaton(right, cap)
     witness = _search(a, b, syms, True, state_budget)
     return OverlapVerdict(overlaps=witness is not None, witness=witness)
 
@@ -300,8 +300,8 @@ def equivalent(
     Both automata are built once and searched in both directions, each
     direction in its own union-alphabet order.
     """
-    a = glushkov(expand(left, cap))
-    b = glushkov(expand(right, cap))
+    a = automaton(left, cap)
+    b = automaton(right, cap)
     forward = _includes(a, b, union_alphabet(left, right), state_budget)
     if not forward.holds:
         return EquivalenceVerdict(equivalent=False, witness=forward.witness, side="left")

@@ -18,6 +18,7 @@ unambiguity facts it rests on) against an independent subset-sum solver.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterator
@@ -25,7 +26,7 @@ from typing import Callable, Iterator
 from .decision import DEFAULT_STATE_BUDGET, InclusionVerdict, includes
 from .engine import DEFAULT_EXPANSION_CAP, Word, length_set
 from .errors import ExprSyntaxError, OddTotalError
-from .syntax import EPSILON, Expr, Symbol, alt, concat, rep
+from .syntax import EPSILON, Expr, Symbol, alt, concat, int_digit_limit, rep
 from .unambiguity import check_unambiguous, is_single_occurrence
 
 InclusionOracle = Callable[[Expr, Expr], InclusionVerdict]
@@ -59,18 +60,24 @@ class PartitionInstance:
 
 
 def parse_weights(text: str) -> PartitionInstance:
-    """Parse a weights file: positive decimal integers split on whitespace."""
+    """Parse a weights file: positive decimal integers split on whitespace.
+
+    A weight with more digits than ``int`` converts (``int_digit_limit``)
+    is a syntax error.
+    """
     weights = []
-    for token in text.split():
-        if not token.isdigit():
+    limit = int_digit_limit()
+    for m in re.finditer(r"\S+", text):
+        token, pos = m.group(), m.start()
+        if not (token.isascii() and token.isdigit()):
             raise ExprSyntaxError(
-                f"weights must be decimal integers, got {token!r}", text.index(token)
+                f"weights must be decimal integers, got {token!r}", pos
             )
+        if limit and len(token) > limit:
+            raise ExprSyntaxError(f"weights must have at most {limit} digits", pos)
         value = int(token)
         if value < 1:
-            raise ExprSyntaxError(
-                f"weights must be positive, got {token!r}", text.index(token)
-            )
+            raise ExprSyntaxError(f"weights must be positive, got {token!r}", pos)
         weights.append(value)
     if not weights:
         raise ExprSyntaxError("weights file is empty", 0)

@@ -36,6 +36,7 @@ here is pure.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import ExprSyntaxError, InvalidCountError
@@ -259,6 +260,28 @@ def _expect(tokens: list[_Token], i: int, kind: str) -> str:
     return tok.text
 
 
+def int_digit_limit() -> int:
+    """The most digits ``int`` converts from text, or 0 for no limit.
+
+    The limit is Python's ``sys.get_int_max_str_digits()``, 4,300 by
+    default; Python releases before 3.10.7 have none.
+    """
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get is not None else 0
+
+
+def _int(tokens: list[_Token], i: int) -> int:
+    """The count at tokens[i], which must be an int token.
+
+    A count with more digits than ``int`` converts is INVALID_COUNT.
+    """
+    text = _expect(tokens, i, "int")
+    limit = int_digit_limit()
+    if limit and len(text) > limit:
+        raise InvalidCountError(f"count has more than {limit} digits", tokens[i].pos)
+    return int(text)
+
+
 def _count(
     tokens: list[_Token], i: int
 ) -> tuple[tuple[int, int | None] | None, int]:
@@ -272,13 +295,13 @@ def _count(
         return _SUGAR[kind], i + 1
     if kind != "{":
         return None, i
-    low = int(_expect(tokens, i + 1, "int"))
+    low = _int(tokens, i + 1)
     if tokens[i + 2].kind == "}":
         return (low, low), i + 3
     _expect(tokens, i + 2, ",")
     if tokens[i + 3].kind == "}":
         return (low, UNBOUNDED), i + 4
-    high = int(_expect(tokens, i + 3, "int"))
+    high = _int(tokens, i + 3)
     _expect(tokens, i + 4, "}")
     return (low, high), i + 5
 
@@ -287,7 +310,8 @@ def parse_expr(text: str) -> Expr:
     """Parse expression text into its AST.
 
     Raises ExprSyntaxError with the offending position, or InvalidCountError
-    for indicators with low > high or the degenerate {0,0}.
+    for indicators with low > high, the degenerate {0,0}, or a count too
+    long to convert.
     """
     tokens = _tokenize(text)
     groups: list[tuple[list[Expr], list[Expr]]] = []  # enclosing (branches, parts)

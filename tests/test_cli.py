@@ -47,6 +47,12 @@ class TestParseCommand:
         assert code == 2
         assert "error[INVALID_COUNT]" in err
 
+    def test_count_too_long_for_int(self, capsys):
+        code, out, err = run_cli(capsys, "parse", "a{" + "9" * 5000 + "}")
+        assert code == 2 and out == ""
+        assert err.startswith("error[INVALID_COUNT]: count has more than")
+        assert err.endswith(" digits (at position 2)\n") and err.count("\n") == 1
+
     def test_at_file_indirection(self, capsys, tmp_path):
         path = tmp_path / "expr.txt"
         path.write_text("(a|b){1,2}\n")
@@ -241,6 +247,14 @@ class TestReductionCommands:
         # k=1 has one even-total list, k=2 has five
         assert len(out.splitlines()) == 6
         assert "checked 6 instances, 0 mismatches" in err
+
+    def test_weight_too_long_for_int(self, capsys, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("1 " + "9" * 5000 + "\n")
+        code, out, err = run_cli(capsys, "partition", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error[SYNTAX]: weights must have at most")
+        assert err.endswith(" digits (at position 2)\n") and err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "partition", "/nonexistent/weights")

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import expressions, make_corpus, nested_groups
+from crekit import engine
+from crekit.decision import equivalent, includes
 from crekit.engine import (
     LengthSet,
     Nfa,
+    automaton,
     bits,
     enumerate_words,
     expand,
@@ -34,6 +37,7 @@ from crekit.syntax import (
     Symbol,
     alphabet_of,
     parse_expr,
+    render_expr,
 )
 from oracle import all_words, brute_language, occurrence_count
 
@@ -202,6 +206,72 @@ class TestMember:
         words = brute_language(e, 4)
         for w in all_words(("a", "b", "c"), 4):
             assert member(e, w) == (w in words)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Records the argument of every ``glushkov`` call made through the engine."""
+    seen = []
+
+    def counting(e):
+        seen.append(e)
+        return glushkov(e)
+
+    monkeypatch.setattr(engine, "glushkov", counting)
+    return seen
+
+
+class TestAutomaton:
+    def test_queries_on_one_tree_build_once(self, builds):
+        e = parse_expr("(a|b){1,3} c")
+        assert len(enumerate_words(e, 4)) == 14
+        assert member(e, ("a", "c")) is True
+        assert member(e, ("c",)) is False
+        assert member(e, ("b", "b", "b", "c")) is True
+        assert len(builds) == 1
+
+    def test_smaller_cap_still_raises(self, builds):
+        e = parse_expr("(a{9,9}){9,9}")
+        with pytest.raises(ExpansionCapExceeded) as fresh:
+            expand(e, cap=50)
+        nfa = automaton(e, cap=10_000)
+        assert automaton(e, cap=1_000_000) is nfa
+        with pytest.raises(ExpansionCapExceeded) as info:
+            member(e, ("a",) * 81, cap=50)
+        assert (info.value.required, info.value.allowed) == (fresh.value.required, 50)
+        assert member(e, ("a",) * 81) is True
+        assert automaton(e) is not nfa  # the failed build dropped the old one
+        assert len(builds) == 2
+
+    def test_self_inclusion_and_equivalence_build_once(self, builds):
+        e = parse_expr("(a|b)* a (a|b){2}")
+        assert includes(e, e).holds
+        assert len(builds) == 1
+        f = parse_expr("a{1,2} b*")
+        assert equivalent(f, f).equivalent
+        assert len(builds) == 2
+
+    def test_equal_but_distinct_tree_is_built_again(self, builds):
+        text = "a{2,3} (b|c)?"
+        e, twin = parse_expr(text), parse_expr(text)
+        assert e == twin and e is not twin
+        assert automaton(e) is automaton(e)
+        assert automaton(twin) is not automaton(e)
+        assert len(builds) == 3
+
+    @given(expressions(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_remembering_changes_no_result(self, e, data):
+        text = render_expr(e)
+        words = data.draw(st.lists(st.sampled_from(all_words(("a", "b", "c"), 4))))
+        tree = parse_expr(text)
+        remembered = [enumerate_words(tree, 4)] + [member(tree, w) for w in words]
+        # a fresh parse, built directly rather than through ``automaton``
+        fresh = parse_expr(text)
+        nfa = glushkov(expand(fresh))
+        want = [[w for w in all_words(alphabet_of(fresh), 4) if nfa.accepts(w)]]
+        want += [nfa.accepts(w) for w in words]
+        assert remembered == want
 
 
 class TestEnumerate:

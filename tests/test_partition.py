@@ -50,6 +50,19 @@ class TestParseWeights:
         with pytest.raises(ExprSyntaxError):
             parse_weights("   \n ")
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            pytest.param("10 0", 3, id="zero-inside-an-earlier-token"),
+            pytest.param("3 \u00b2 1", 2, id="superscript-digit"),
+            pytest.param("1 " + "9" * 5000, 2, id="too-many-digits"),
+        ],
+    )
+    def test_error_names_the_token(self, text, position):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_weights(text)
+        assert info.value.position == position
+
 
 class TestBuildExpressions:
     def test_unit_pair(self):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 
@@ -13,6 +15,7 @@ from crekit.syntax import (
     alphabet_of,
     alt,
     concat,
+    int_digit_limit,
     parse_expr,
     postorder,
     render_expr,
@@ -115,6 +118,16 @@ class TestParse:
         assert nodes == 4 * DEEP + 1
         assert rendered == rendered_groups()
         assert render_expr(parse_expr(rendered)) == rendered
+
+    def test_count_too_long_for_int(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(InvalidCountError) as info:
+            parse_expr("b a{2," + "9" * 5000 + "}")
+        assert str(info.value) == f"count has more than {limit} digits (at position 6)"
+
+    def test_no_digit_limit_before_python_3_10_7(self, monkeypatch):
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert int_digit_limit() == 0
 
     def test_whitespace_insignificant(self):
         assert parse_expr(" ( a | b ) { 1 , 2 } ") == parse_expr("(a|b){1,2}")
