@@ -1,35 +1,37 @@
 """Exact semantics of counted regular expressions.
 
-The semantic pipeline is: rewrite occurrence indicators into the
-counter-free fragment (``expand``), build the epsilon-free position
-automaton (``glushkov``), then decide membership by subset simulation or
-enumerate words breadth-first.  ``length_set`` computes the set of word
-lengths directly on the *unexpanded* tree, which both avoids the unary
-blowup and gives an independent cross-check of the automaton path.
+The semantic pipeline is: build the epsilon-free position automaton of the
+counted tree (``glushkov``), then decide membership by subset simulation
+or enumerate words breadth-first.  ``length_set`` computes the set of word
+lengths directly on the tree, which avoids the unary blowup and gives an
+independent cross-check of the automaton path.
 
-Counter expansion is unary, so it is guarded by an explicit node cap:
-exceeding the cap raises ExpansionCapExceeded up front (the required size
-is computed arithmetically before anything is built), never silently
-truncates.  ``E{l,u}`` unrolls into l copies of E followed by the nested
-optional chain ``(E (E (...)?)?)?`` of depth u-l, not a flat run of u-l
-copies of ``(E|%)``: the last positions of one copy are then followed only
-by the first positions of the next, so the position automaton has O(u)
-transitions instead of O(u^2) (Brueggemann-Klein, "Regular expressions
-into finite automata", TCS 1993).  Expanded trees are therefore as deep as
-they are long, and every tree walk here runs on ``syntax.postorder``
-instead of recursion.
+The automaton is that of the counter-free expansion (``expand``), which
+stays the reference semantics: ``E{l,u}`` unrolls into l copies of E
+followed by the nested optional chain ``(E (E (...)?)?)?`` of depth u-l,
+not a flat run of u-l copies of ``(E|%)``, so the last positions of one
+copy are followed only by the first positions of the next and a
+non-nullable body gives O(u) transitions instead of O(u^2)
+(Brueggemann-Klein, "Regular expressions into finite automata", TCS 1993).
+``glushkov`` never builds that tree.  It makes one pass over the counted
+tree, analyses each counted body once, lays its copies down by offset and
+adds only the links between copies.  Its size still grows with the counts,
+so it is guarded by the node cap of the expansion: exceeding the cap raises
+ExpansionCapExceeded up front (the required size is computed
+arithmetically before anything is built), never silently truncates.
 
-``positions`` is the one position analysis: ``glushkov`` builds the
-automaton from it, and the weak-unambiguity check runs it counter-blind on
-the unexpanded tree.  A set of automaton states is an int, bit q for state
-q.  The automaton keeps one symbol per position and one follow mask per
-state, each shifted down to its lowest member, so its storage is O(n) bytes
-for a chain of n positions; a subset step is ``reach(S) & symbol_mask``
-(Chang and Paige, "From regular expressions to DFA's using compressed
-NFA's", TCS 1997).
+The same pass, ``position_pass``, is the one position analysis: read
+counter-blind, it serves the weak-unambiguity check, and ``positions`` is a
+set view of it.  A set of automaton states is an
+int, bit q for state q.  The automaton keeps one symbol per position and
+one follow mask per state, each shifted down to its lowest member, so its
+storage is O(n) bytes for a chain of n positions; a subset step is
+``reach(S) & symbol_mask`` (Chang and Paige, "From regular expressions to
+DFA's using compressed NFA's", TCS 1997).  Every tree walk here runs on
+``syntax.postorder`` instead of recursion.
 
-``automaton(e, cap)`` is the one place that runs ``glushkov(expand(e, cap))``,
-and every query on a tree (``member``, ``language_iter``, ``includes``,
+``automaton(e, cap)`` is the one place that calls ``glushkov``, and every
+query on a tree (``member``, ``language_iter``, ``includes``,
 ``overlaps``, ``equivalent``) gets its automaton from there.  It remembers
 the last tree it built, by identity, so a run of queries on one tree builds
 once.  That automaton stays in memory until the next build: about 5 MB for
@@ -120,6 +122,13 @@ def _expansion_size(order: list[Expr]) -> int:
     return sizes[0]
 
 
+def _check_cap(order: list[Expr], cap: int) -> None:
+    """Raise ExpansionCapExceeded when the expansion of ``order`` exceeds ``cap``."""
+    required = _expansion_size(order)
+    if required > cap:
+        raise ExpansionCapExceeded(required, cap)
+
+
 def expand(e: Expr, cap: int = DEFAULT_EXPANSION_CAP) -> Expr:
     """Rewrite counted repetition into the counter-free fragment.
 
@@ -130,9 +139,7 @@ def expand(e: Expr, cap: int = DEFAULT_EXPANSION_CAP) -> Expr:
     preserved; the result may share subtrees.
     """
     order = postorder(e)
-    required = _expansion_size(order)
-    if required > cap:
-        raise ExpansionCapExceeded(required, cap)
+    _check_cap(order, cap)
     out: list[Expr] = []
     for x in order:
         t = type(x)
@@ -166,99 +173,6 @@ def _unroll(inner: Expr, count: CountRange) -> Expr:
     return concat([inner] * low + chain)
 
 
-# --- position analysis -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Positions:
-    """Position analysis of an expression.
-
-    Positions are the symbol occurrences, numbered 1..n in document order.
-    ``follow[p]`` is the set of positions that may follow position p, and
-    ``follow[0]`` is the first set: the successors of the initial state.
-    The sets are the analysis's own working sets, each a distinct object;
-    callers read them and must not change them.
-    """
-
-    symbols: tuple[str, ...]  # symbols[p-1] is the symbol at position p
-    nullable: bool
-    last: AbstractSet[int]
-    follow: tuple[AbstractSet[int], ...]
-
-    @property
-    def first(self) -> AbstractSet[int]:
-        return self.follow[0]
-
-
-_STAR_RANGES = ((0, 1), (0, None), (1, None))
-
-
-def _merge(a: set[int], b: set[int]) -> set[int]:
-    # Union into the larger of two sets that no one else holds; merging small
-    # into large keeps the growing last sets of a nested chain linear.
-    if len(a) < len(b):
-        a, b = b, a
-    a |= b
-    return a
-
-
-def positions(e: Expr, *, counter_blind: bool = False) -> Positions:
-    """Nullable, first, last and follow sets of ``e``, in one iterative pass.
-
-    A repetition adds the iteration pairs last x first when it is
-    unbounded.  By default only the ranges {0,1}, {0,unbounded} and
-    {1,unbounded} are accepted; any other must be expanded first.  With
-    ``counter_blind`` every range is accepted, and a repetition also adds
-    the iteration pairs whenever its upper bound allows a second round, so
-    counter values never disambiguate.
-    """
-    symbols: list[str] = []
-    follow: list[set[int]] = [set()]  # follow[0] is set to the first set below
-    done: list[tuple[bool, set[int], set[int]]] = []  # (nullable, first, last)
-    for x in postorder(e):
-        t = type(x)
-        if t is Symbol:
-            symbols.append(x.name)
-            follow.append(set())
-            p = len(symbols)
-            done.append((False, {p}, {p}))
-        elif t is Epsilon:
-            done.append((True, set(), set()))
-        elif t is Rep:
-            low, high = x.count.low, x.count.high
-            if not counter_blind and (low, high) not in _STAR_RANGES:
-                raise ValueError(
-                    f"glushkov needs expanded input, found {x.count.render()}"
-                )
-            n, f, l = done[-1]
-            if high is None or (counter_blind and high >= 2):
-                for p in l:
-                    follow[p] |= f
-            done[-1] = (n or low == 0, f, l)
-        elif t is Alt:
-            k = len(x.branches)
-            nullable, first, last = done[-k]
-            for n, f, l in done[1 - k :]:
-                nullable, first, last = nullable or n, _merge(first, f), _merge(last, l)
-            done[-k:] = [(nullable, first, last)]
-        else:
-            k = len(x.parts)
-            nullable, first, last = done[-k]
-            for n, f, l in done[1 - k :]:
-                for p in last:
-                    follow[p] |= f
-                if nullable:
-                    first = _merge(first, f)
-                last = _merge(last, l) if n else l
-                nullable = nullable and n
-            done[-k:] = [(nullable, first, last)]
-    nullable, follow[0], last = done[0]
-    # The working sets are returned as they are: no two of them are one object.
-    return Positions(
-        symbols=tuple(symbols), nullable=nullable, last=last, follow=tuple(follow)
-    )
-
-
 # --- position automaton ------------------------------------------------------
 
 
@@ -270,17 +184,16 @@ def bits(x: int):
         x ^= low
 
 
-def _mask(members, offset: int = 0) -> int:
-    """The int with bit q - offset set for each q in members."""
+def _mask(members) -> int:
+    """The int with bit q set for each q in members."""
     if len(members) < 64:
         mask = 0
         for q in members:
-            mask |= 1 << (q - offset)
+            mask |= 1 << q
         return mask
     # one pass over a buffer instead of one big-int OR per member
-    buf = bytearray(((max(members) - offset) >> 3) + 1)
+    buf = bytearray((max(members) >> 3) + 1)
     for q in members:
-        q -= offset
         buf[q >> 3] |= 1 << (q & 7)
     return int.from_bytes(buf, "little")
 
@@ -356,19 +269,223 @@ class Nfa:
         return bool(current & self.accepting)
 
 
-def glushkov(e: Expr) -> Nfa:
-    """Position automaton of a counter-free expression.
+# --- the position pass -------------------------------------------------------
 
-    Accepts the classic operator ranges {0,1}, {0,unbounded} and
-    {1,unbounded}; any other occurrence indicator must be expanded first.
+
+def _members(x: int) -> list[int]:
+    """``list(bits(x))``, in time linear in the length of ``x``."""
+    out = []
+    if x >> 64:  # each step of the bit loop would copy all of x
+        text = bin(x)[:1:-1]  # binary digits, least significant first
+        i = text.find("1")
+        while i >= 0:
+            out.append(i)
+            i = text.find("1", i + 1)
+        return out
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _tile(mask: int, width: int, count: int) -> int:
+    """``count`` copies of ``mask``, copy j shifted by j * width bits."""
+    out, done = 0, 0
+    block, size = mask, 1  # block holds ``size`` copies
+    while True:
+        if count & 1:
+            out |= block << done * width
+            done += size
+        count >>= 1
+        if not count:
+            return out
+        block |= block << size * width
+        size *= 2
+
+
+def _link(
+    offsets: list[int], follow: list[int], base: int, last: int, to: int, first: int
+) -> None:
+    """Add positions ``to + i``, i in mask ``first``, to the follow set of
+    each position ``base + r``, r in mask ``last``; ``first`` is not 0."""
+    low = (first & -first).bit_length() - 1
+    lo, add = to + low, first >> low
+    for r in _members(last):
+        q = base + r
+        mask = follow[q]
+        if not mask:
+            offsets[q], follow[q] = lo, add
+        elif offsets[q] <= lo:
+            follow[q] = mask | add << lo - offsets[q]
+        else:
+            follow[q] = add | mask << offsets[q] - lo
+            offsets[q] = lo
+
+
+def position_pass(
+    order: list[Expr], counter_blind: bool
+) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...], int]:
+    """The position automaton of the tree whose ``postorder`` is ``order``.
+
+    Returns the fields of its ``Nfa``: ``(symbols, offsets, follow,
+    accepting)``.  Positions are numbered as in the expansion, copy after
+    copy in document order, and the follow masks go straight into the
+    arrays.  A counted body is analysed once.  Its copies take its follow
+    masks unchanged under shifted offsets, and then only the links between
+    copies are added, by the rules that concatenation and the nested
+    optional chain give on the expanded tree: the last positions of a copy
+    are followed by the first positions of the next copy and, when the body
+    is nullable, of every later one.  With ``counter_blind`` each repetition
+    keeps one copy of its body, and its last positions are followed by its
+    first ones whenever its upper bound allows a second round.
     """
-    sets = positions(e)
-    offsets = tuple([min(s) if s else 0 for s in sets.follow])
-    return Nfa(
-        symbols=sets.symbols,
-        offsets=offsets,
-        follow=tuple(map(_mask, sets.follow, offsets)),
-        accepting=_mask(sets.last) | sets.nullable,
+    symbols: list[str] = []
+    offsets = [0]  # state 0 gets the first set at the end
+    follow = [0]
+    # (positions, nullable, first, last) per finished subtree; bit i of a
+    # mask is the subtree's position i + 1
+    done: list[tuple[int, bool, int, int]] = []
+    for x in order:
+        t = type(x)
+        if t is Symbol:
+            symbols.append(x.name)
+            offsets.append(0)
+            follow.append(0)
+            done.append((1, False, 1, 1))
+        elif t is Epsilon:
+            done.append((0, True, 0, 0))
+        elif t is Alt:
+            k = len(x.branches)
+            size, nullable, first, last = 0, False, 0, 0
+            for m, n, f, l in done[-k:]:
+                nullable = nullable or n
+                first |= f << size
+                last |= l << size
+                size += m
+            done[-k:] = [(size, nullable, first, last)]
+        elif t is Concat:
+            k = len(x.parts)
+            base = len(symbols) + 1 - sum([d[0] for d in done[-k:]])
+            size, nullable, first, last = done[-k]
+            for m, n, f, l in done[1 - k :]:
+                if last and f:
+                    _link(offsets, follow, base, last, base + size, f)
+                if nullable:
+                    first |= f << size
+                last = last | l << size if n else l << size
+                nullable = nullable and n
+                size += m
+            done[-k:] = [(size, nullable, first, last)]
+        else:
+            m, n, f, l = done[-1]
+            if not m:  # a body of empty words only
+                continue
+            low, high = x.count.low, x.count.high
+            if counter_blind:
+                copies, loop = 1, high is None or high >= 2
+            elif high is None:  # E{0,}, E{1,} or E^low E{0,}
+                copies, loop = (low + 1 if low >= 2 else 1), True
+            else:  # E^low and the nested optional chain of high - low copies
+                copies, loop = high, False
+            base = len(symbols) + 1 - m
+            if copies > 1:
+                body = offsets[base:]
+                symbols.extend(symbols[base - 1 :] * (copies - 1))
+                follow.extend(follow[base:] * (copies - 1))
+                shifts = range(m, copies * m, m)
+                offsets.extend([o and o + s for s in shifts for o in body])
+                if n:
+                    reach = f  # first positions of copy j + 1 and every later copy
+                    for j in range(copies - 2, -1, -1):
+                        start = base + j * m
+                        _link(offsets, follow, start, l, start + m, reach)
+                        reach = f | reach << m
+                else:
+                    _link(offsets, follow, base, l, base + m, f)
+                    # every copy but the last links to its successor alike
+                    for r in _members(l):
+                        q = base + r
+                        o, stop = offsets[q], q + (copies - 1) * m
+                        offsets[q + m : stop : m] = range(o + m, o + stop - q, m)
+                        follow[q + m : stop : m] = [follow[q]] * (copies - 2)
+            if loop:
+                last_copy = base + (copies - 1) * m
+                _link(offsets, follow, last_copy, l, last_copy, f)
+            # a word may end in copy max(low, 1) or a later one; with a
+            # nullable body, in any copy
+            skip = 0 if n else min(max(low, 1), copies) - 1
+            done[-1] = (
+                copies * m,
+                n or low == 0,
+                _tile(f, m, copies) if n else f,
+                _tile(l, m, copies - skip) << skip * m,
+            )
+    _, nullable, first, last = done[0]
+    if first:
+        low = (first & -first).bit_length() - 1
+        offsets[0], follow[0] = 1 + low, first >> low
+    return tuple(symbols), tuple(offsets), tuple(follow), last << 1 | nullable
+
+
+def glushkov(e: Expr, cap: int = DEFAULT_EXPANSION_CAP) -> Nfa:
+    """Position automaton of ``e`` under counter expansion, built without it.
+
+    The result equals ``glushkov(expand(e, cap))``: positions in the
+    expansion's document order, the same follow masks and accepting set.
+    Raises ExpansionCapExceeded exactly when ``expand(e, cap)`` would,
+    before anything is built.
+    """
+    order = postorder(e)
+    _check_cap(order, cap)
+    return Nfa(*position_pass(order, counter_blind=False))
+
+
+@dataclass(frozen=True)
+class Positions:
+    """Position analysis of an expression, as sets.
+
+    Positions are the symbol occurrences, numbered 1..n in document order.
+    ``follow[p]`` is the set of positions that may follow position p, and
+    ``follow[0]`` is the first set: the successors of the initial state.
+    """
+
+    symbols: tuple[str, ...]  # symbols[p-1] is the symbol at position p
+    nullable: bool
+    last: AbstractSet[int]
+    follow: tuple[AbstractSet[int], ...]
+
+    @property
+    def first(self) -> AbstractSet[int]:
+        return self.follow[0]
+
+
+_STAR_RANGES = ((0, 1), (0, None), (1, None))
+
+
+def positions(e: Expr, *, counter_blind: bool = False) -> Positions:
+    """Nullable, first, last and follow sets of ``e``.
+
+    This is a set view of ``position_pass``.  By default only the ranges
+    {0,1}, {0,unbounded} and {1,unbounded} are accepted, and any other
+    raises ValueError.  With ``counter_blind`` every range is accepted, and
+    counter values never disambiguate.
+    """
+    order = postorder(e)
+    if not counter_blind:
+        for x in order:
+            if type(x) is Rep and (x.count.low, x.count.high) not in _STAR_RANGES:
+                raise ValueError(
+                    f"positions needs expanded input, found {x.count.render()}"
+                )
+    symbols, offsets, follow, accepting = position_pass(order, counter_blind)
+    last = set(_members(accepting))
+    last.discard(0)
+    return Positions(
+        symbols=symbols,
+        nullable=bool(accepting & 1),
+        last=last,
+        follow=tuple([set(_members(f << o)) for o, f in zip(offsets, follow)]),
     )
 
 
@@ -377,9 +494,9 @@ _last: tuple[Expr, int, Nfa] | None = None
 
 
 def automaton(e: Expr, cap: int = DEFAULT_EXPANSION_CAP) -> Nfa:
-    """The position automaton of ``e`` after counter expansion under ``cap``.
+    """``glushkov(e, cap)``, remembered for the last tree built.
 
-    This is the one place that builds automata.  The last tree built is
+    This is the one place that builds automata for queries.  The last tree built is
     remembered, so the queries that follow on the same tree share one
     automaton.  Trees are compared by identity: the generated ``==`` and
     ``hash`` of the nodes recurse, and a parsed tree may nest thousands of
@@ -392,7 +509,7 @@ def automaton(e: Expr, cap: int = DEFAULT_EXPANSION_CAP) -> Nfa:
     if last is not None and last[0] is e and cap >= last[1]:
         return last[2]
     _last = None  # let the old automaton go before building the next one
-    nfa = glushkov(expand(e, cap))
+    nfa = glushkov(e, cap)
     _last = (e, cap, nfa)
     return nfa
 

@@ -4,6 +4,33 @@ Every error carries a stable machine-readable ``code`` so that scripted
 callers (and the CLI) can dispatch on it without parsing messages.
 """
 
+import math
+import sys
+
+
+def int_digit_limit() -> int:
+    """The most digits ``int`` converts from text, or 0 for no limit.
+
+    The limit is Python's ``sys.get_int_max_str_digits()``, 4,300 by
+    default; Python releases before 3.10.7 have none.  It bounds ``str`` of
+    an int as well.
+    """
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get is not None else 0
+
+
+def _decimal(x: int) -> str:
+    """``str(x)`` for x >= 0, or ``10^e or more`` when x has too many digits."""
+    limit = int_digit_limit()
+    if not limit or x < 10**limit:
+        return str(x)
+    e = int(math.log10(x))  # the float may be off by one either way
+    if x >= 10 ** (e + 1):
+        e += 1
+    elif x < 10**e:
+        e -= 1
+    return f"10^{e} or more"
+
 
 class CrekitError(Exception):
     """Base class for all errors raised by crekit."""
@@ -47,7 +74,8 @@ class ExpansionCapExceeded(CrekitError):
 
     def __init__(self, required: int, allowed: int):
         super().__init__(
-            f"counter expansion needs {required} AST nodes, cap is {allowed}"
+            f"counter expansion needs {_decimal(required)} AST nodes,"
+            f" cap is {_decimal(allowed)}"
         )
         self.required = required
         self.allowed = allowed

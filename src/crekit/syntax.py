@@ -36,10 +36,9 @@ here is pure.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 
-from .errors import ExprSyntaxError, InvalidCountError
+from .errors import ExprSyntaxError, InvalidCountError, int_digit_limit
 
 UNBOUNDED = None  # sentinel value of CountRange.high
 
@@ -61,6 +60,11 @@ class CountRange:
                 raise InvalidCountError(
                     f"lower count {self.low} exceeds upper count {self.high}"
                 )
+        # A count must render, and str() has the digit limit that int() has.
+        limit = int_digit_limit()
+        top = self.low if self.high is None else self.high
+        if limit and top.bit_length() > 3 * limit and top >= 10**limit:
+            raise InvalidCountError(f"count has more than {limit} digits")
 
     @property
     def unbounded(self) -> bool:
@@ -258,16 +262,6 @@ def _expect(tokens: list[_Token], i: int, kind: str) -> str:
             f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos
         )
     return tok.text
-
-
-def int_digit_limit() -> int:
-    """The most digits ``int`` converts from text, or 0 for no limit.
-
-    The limit is Python's ``sys.get_int_max_str_digits()``, 4,300 by
-    default; Python releases before 3.10.7 have none.
-    """
-    get = getattr(sys, "get_int_max_str_digits", None)
-    return get() if get is not None else 0
 
 
 def _int(tokens: list[_Token], i: int) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import positions
+from .engine import position_pass
 from .syntax import Expr, Symbol, postorder
 
 FIRST_SET = "first-set"
@@ -52,24 +52,14 @@ class UnambiguityVerdict:
             raise ValueError("conflict must be present exactly when ambiguous")
 
 
-def is_single_occurrence(e: Expr) -> bool:
-    """True iff every alphabet symbol occurs exactly once in ``e``."""
-    names = [x.name for x in postorder(e) if type(x) is Symbol]
+def _single_occurrence(order: list[Expr]) -> bool:
+    names = [x.name for x in order if type(x) is Symbol]
     return len(names) == len(set(names))
 
 
-def _set_conflict(members, symbols) -> tuple[int, int, str] | None:
-    """Smallest same-symbol position pair within one set, or None."""
-    by_symbol: dict[str, list[int]] = {}
-    for p in sorted(members):
-        by_symbol.setdefault(symbols[p - 1], []).append(p)
-    best: tuple[int, int, str] | None = None
-    for sym, ps in by_symbol.items():
-        if len(ps) >= 2:
-            pair = (ps[0], ps[1], sym)
-            if best is None or pair[:2] < best[:2]:
-                best = pair
-    return best
+def is_single_occurrence(e: Expr) -> bool:
+    """True iff every alphabet symbol occurs exactly once in ``e``."""
+    return _single_occurrence(postorder(e))
 
 
 def check_unambiguous(e: Expr) -> UnambiguityVerdict:
@@ -77,18 +67,37 @@ def check_unambiguous(e: Expr) -> UnambiguityVerdict:
 
     Conflicts are searched in document order: the first set, then the
     follow set of each position in increasing order; within a set the
-    smallest position pair wins.
+    smallest position pair wins.  A set meets a symbol in the AND of its
+    mask with the symbol's mask, and the two lowest bits of that are the
+    symbol's smallest pair.
     """
-    if is_single_occurrence(e):
+    order = postorder(e)
+    if _single_occurrence(order):
         return UnambiguityVerdict(unambiguous=True)
-    sets = positions(e, counter_blind=True)
-    for p, succ in enumerate(sets.follow):
-        hit = _set_conflict(succ, sets.symbols)
-        if hit is not None:
-            a, b, sym = hit
-            if p == 0:
+    symbols, offsets, follow, _ = position_pass(order, counter_blind=True)
+    masks: dict[str, int] = {}
+    for q, sym in enumerate(symbols, 1):
+        masks[sym] = masks.get(sym, 0) | 1 << q
+    # a symbol that occurs once cannot conflict
+    shared = [(s, m) for s, m in masks.items() if m & (m - 1)]
+    for locus, (offset, mask) in enumerate(zip(offsets, follow)):
+        if not mask & (mask - 1):
+            continue
+        succ = mask << offset
+        best = None
+        for sym, sym_mask in shared:
+            hit = succ & sym_mask
+            if hit & (hit - 1):
+                a = hit & -hit
+                b = hit ^ a
+                pair = ((a.bit_length() - 1, (b & -b).bit_length() - 1), sym)
+                if best is None or pair < best:
+                    best = pair
+        if best is not None:
+            (a, b), sym = best
+            if locus == 0:
                 conflict = Conflict(sym, (a, b), FIRST_SET)
             else:
-                conflict = Conflict(sym, (a, b), FOLLOW_SET, locus_position=p)
+                conflict = Conflict(sym, (a, b), FOLLOW_SET, locus_position=locus)
             return UnambiguityVerdict(unambiguous=False, conflict=conflict)
     return UnambiguityVerdict(unambiguous=True)

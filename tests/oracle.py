@@ -7,7 +7,8 @@ language and membership-tests the right one: it shares ``union_alphabet``,
 ``expand``, ``glushkov`` and ``language_iter`` with the library, but not the
 product search that ``crekit.decision.includes`` runs.  The overlap
 reference intersects two ``brute_language`` enumerations and shares no code
-with ``crekit.decision``.  Expected values in the tests are frozen from (or
+with ``crekit.decision``.  The position references are in
+``position_oracle.py``.  Expected values in the tests are frozen from (or
 re-checked against) these.
 """
 

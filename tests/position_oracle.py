@@ -1,0 +1,106 @@
+"""Set-based references for the position analysis.
+
+``positions_reference`` is the position analysis with one Python set per
+position, and ``first_conflict_reference`` searches its counter-blind sets
+for the conflict ``check_unambiguous`` reports.  Neither shares code with
+the mask-based ``crekit.engine.position_pass`` they check.  They live apart
+from ``oracle.py``, which the benchmark loads at every set-up.
+"""
+
+from crekit.engine import Positions
+from crekit.syntax import Alt, Epsilon, Rep, Symbol, postorder
+from crekit.unambiguity import FIRST_SET, FOLLOW_SET, Conflict
+
+
+def _merge(a, b):
+    # Union into the larger of two sets that no one else holds; merging small
+    # into large keeps the growing last sets of a nested chain linear.
+    if len(a) < len(b):
+        a, b = b, a
+    a |= b
+    return a
+
+
+def positions_reference(e, *, counter_blind=False):
+    """Nullable, first, last and follow sets of ``e``, one set per position.
+
+    The set-based position analysis that ``crekit.engine`` used before it
+    built automata on masks.  A repetition adds the iteration pairs last x
+    first when it is unbounded, or with ``counter_blind`` whenever its upper
+    bound allows a second round.  Without ``counter_blind``, ``e`` must use
+    only the ranges {0,1}, {0,unbounded} and {1,unbounded}.
+    """
+    symbols = []
+    follow = [set()]  # follow[0] is set to the first set below
+    done = []  # (nullable, first, last)
+    for x in postorder(e):
+        t = type(x)
+        if t is Symbol:
+            symbols.append(x.name)
+            follow.append(set())
+            p = len(symbols)
+            done.append((False, {p}, {p}))
+        elif t is Epsilon:
+            done.append((True, set(), set()))
+        elif t is Rep:
+            low, high = x.count.low, x.count.high
+            if not counter_blind and (low, high) not in ((0, 1), (0, None), (1, None)):
+                raise ValueError(f"needs expanded input, found {x.count.render()}")
+            n, f, l = done[-1]
+            if high is None or (counter_blind and high >= 2):
+                for p in l:
+                    follow[p] |= f
+            done[-1] = (n or low == 0, f, l)
+        elif t is Alt:
+            k = len(x.branches)
+            nullable, first, last = done[-k]
+            for n, f, l in done[1 - k :]:
+                nullable, first, last = nullable or n, _merge(first, f), _merge(last, l)
+            done[-k:] = [(nullable, first, last)]
+        else:
+            k = len(x.parts)
+            nullable, first, last = done[-k]
+            for n, f, l in done[1 - k :]:
+                for p in last:
+                    follow[p] |= f
+                if nullable:
+                    first = _merge(first, f)
+                last = _merge(last, l) if n else l
+                nullable = nullable and n
+            done[-k:] = [(nullable, first, last)]
+    nullable, follow[0], last = done[0]
+    return Positions(
+        symbols=tuple(symbols), nullable=nullable, last=last, follow=tuple(follow)
+    )
+
+
+def _set_conflict(members, symbols):
+    """Smallest same-symbol position pair within one set, or None."""
+    by_symbol = {}
+    for p in sorted(members):
+        by_symbol.setdefault(symbols[p - 1], []).append(p)
+    best = None
+    for sym, ps in by_symbol.items():
+        if len(ps) >= 2:
+            pair = (ps[0], ps[1], sym)
+            if best is None or pair[:2] < best[:2]:
+                best = pair
+    return best
+
+
+def first_conflict_reference(e):
+    """The conflict ``check_unambiguous`` reports for ``e``, or None.
+
+    Searches the counter-blind sets of ``positions_reference``: the first
+    set, then each follow set in position order; within a set the smallest
+    same-symbol pair wins.
+    """
+    sets = positions_reference(e, counter_blind=True)
+    for p, succ in enumerate(sets.follow):
+        hit = _set_conflict(succ, sets.symbols)
+        if hit is not None:
+            a, b, sym = hit
+            if p == 0:
+                return Conflict(sym, (a, b), FIRST_SET)
+            return Conflict(sym, (a, b), FOLLOW_SET, locus_position=p)
+    return None

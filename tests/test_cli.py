@@ -95,6 +95,17 @@ class TestMemberCommand:
         assert code == 3 and out == ""
         assert err.startswith("error[EXPANSION_CAP]: ")
 
+    def test_required_size_too_long_to_print(self, capsys):
+        # the count converts, but the node count it needs has 4,301 digits
+        limit = sys.get_int_max_str_digits()
+        count = "9" * limit
+        code, out, err = run_cli(capsys, "member", f"a{{0,{count}}}", "a")
+        assert code == 3 and out == ""
+        assert err == (
+            f"error[EXPANSION_CAP]: counter expansion needs 10^{limit} or more"
+            " AST nodes, cap is 100000\n"
+        )
+
     def test_large_counter_under_a_raised_cap(self, capsys):
         argv = ("member", "a{0,30000}", "a", "--cap", "1000000")
         code, out, _ = run_cli(capsys, *argv)
@@ -255,6 +266,16 @@ class TestReductionCommands:
         assert code == 2 and out == ""
         assert err.startswith("error[SYNTAX]: weights must have at most")
         assert err.endswith(" digits (at position 2)\n") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["reduce", "verify", "partition"])
+    def test_derived_count_too_long_to_print(self, capsys, tmp_path, command):
+        # each weight converts, but n + 1 and 2n have one digit more
+        path = tmp_path / "w.txt"
+        path.write_text(" ".join(["9" * sys.get_int_max_str_digits()] * 2))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error[INVALID_COUNT]: count has more than")
+        assert err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "partition", "/nonexistent/weights")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expressions, make_corpus, nested_groups
+from conftest import expressions, make_corpus, nested_groups, sugar_expressions
 from crekit import engine
 from crekit.decision import equivalent, includes
 from crekit.engine import (
@@ -40,6 +40,7 @@ from crekit.syntax import (
     render_expr,
 )
 from oracle import all_words, brute_language, occurrence_count
+from position_oracle import positions_reference
 
 A, B = Symbol("a"), Symbol("b")
 
@@ -129,9 +130,16 @@ class TestGlushkov:
         assert transitions(nfa) == {(0, "a", 1), (1, "a", 1)}
         assert set(bits(nfa.accepting)) == {0, 1}
 
-    def test_rejects_counted_input(self):
-        with pytest.raises(ValueError):
-            glushkov(Rep(A, CountRange(2, 3)))
+    def test_counted_input_is_built_as_its_expansion(self):
+        e = Rep(A, CountRange(2, 3))
+        assert glushkov(e) == glushkov(expand(e))
+        assert transitions(glushkov(e)) == {(0, "a", 1), (1, "a", 2), (2, "a", 3)}
+        big = parse_expr("(a{9,9}){9,9}")
+        with pytest.raises(ExpansionCapExceeded) as fresh:
+            expand(big, cap=50)
+        with pytest.raises(ExpansionCapExceeded) as info:
+            glushkov(big, cap=50)
+        assert (info.value.required, info.value.allowed) == (fresh.value.required, 50)
 
     def test_invalid_states_rejected(self):
         # one position: states 0 and 1
@@ -156,7 +164,7 @@ class TestGlushkov:
     def test_follow_masks_are_packed(self, u):
         # Each mask is stored shifted to its lowest member; unshifted, the
         # mask of position p alone would take p bits, O(u^2) in all.
-        nfa = glushkov(expand(parse_expr(f"a{{0,{u}}}"), cap=10 * u))
+        nfa = glushkov(parse_expr(f"a{{0,{u}}}"), cap=10 * u)
         assert sum(mask.bit_length() for mask in nfa.follow) <= 2 * u + 1
 
     @given(expressions())
@@ -176,6 +184,67 @@ class TestGlushkov:
                 q for p in states for q in sets.follow[p] if sets.symbols[q - 1] == sym
             }
             assert nfa.step(states, sym) == expected
+
+
+def set_view(nfa):
+    """Symbols, follow sets and accepting set of ``nfa``, read from its masks."""
+    follow = [set(bits(mask << offset)) for offset, mask in zip(nfa.offsets, nfa.follow)]
+    return nfa.symbols, follow, set(bits(nfa.accepting))
+
+
+def reference_view(e):
+    """``set_view`` of the automaton of ``e``, from the set-based reference."""
+    ref = positions_reference(e)
+    accepting = set(ref.last) | ({0} if ref.nullable else set())
+    return ref.symbols, [set(f) for f in ref.follow], accepting
+
+
+def assert_built_as_expanded(e, cap=100_000):
+    expanded = expand(e, cap)
+    nfa = glushkov(e, cap)
+    assert nfa == glushkov(expanded)
+    assert set_view(nfa) == reference_view(expanded)
+
+
+LADDER_EXPRESSIONS = [
+    pytest.param(e, id=f"E{side}-m{m}")
+    for m in (1, 2, 3, 5)
+    for side, e in enumerate(build_expressions(PartitionInstance((20,) * m)), 1)
+]
+
+
+class TestCountedGlushkov:
+    """``glushkov`` lays counted bodies down by offset, never expanding them."""
+
+    @given(st.one_of(expressions(), sugar_expressions()))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_expansion(self, e):
+        assert_built_as_expanded(e)
+
+    def test_corpus_equals_the_expansion(self):
+        for e in make_corpus(400, seed=11, depth=4):
+            assert_built_as_expanded(e)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(x|y){0,260} z",
+            "(a|%){0,50}",
+            "((a|b){2,3}){1,2}",
+            "((a|%) b?){2,4} a",
+            "(a{2,3} b?){2,} (a b)*",
+            "(a* b){3,}",
+            "(a?){3,}",
+            "(%|%){2,3} a",
+            "a{1}",
+        ],
+    )
+    def test_fixed_cases(self, text):
+        assert_built_as_expanded(parse_expr(text))
+
+    @pytest.mark.parametrize("e", LADDER_EXPRESSIONS)
+    def test_partition_ladder(self, e):
+        assert_built_as_expanded(e)
 
 
 class TestMember:
@@ -210,12 +279,13 @@ class TestMember:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Records the argument of every ``glushkov`` call made through the engine."""
+    """Records the tree of each ``glushkov`` call through the engine that returns."""
     seen = []
 
-    def counting(e):
+    def counting(e, cap):
+        nfa = glushkov(e, cap)
         seen.append(e)
-        return glushkov(e)
+        return nfa
 
     monkeypatch.setattr(engine, "glushkov", counting)
     return seen

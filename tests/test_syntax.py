@@ -125,6 +125,13 @@ class TestParse:
             parse_expr("b a{2," + "9" * 5000 + "}")
         assert str(info.value) == f"count has more than {limit} digits (at position 6)"
 
+    def test_built_count_must_render(self):
+        longest = 10 ** sys.get_int_max_str_digits() - 1
+        assert render_expr(rep(Symbol("a"), 0, longest)).endswith("9}")
+        for low, high in ((0, longest + 1), (longest + 1, None)):
+            with pytest.raises(InvalidCountError, match="count has more than"):
+                CountRange(low, high)
+
     def test_no_digit_limit_before_python_3_10_7(self, monkeypatch):
         monkeypatch.delattr(sys, "get_int_max_str_digits")
         assert int_digit_limit() == 0

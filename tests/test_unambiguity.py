@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import DEEP, expressions, nested_groups, sugar_expressions
-from crekit.engine import glushkov, positions
+from conftest import DEEP, expressions, make_corpus, nested_groups, sugar_expressions
+from crekit.engine import expand, glushkov, positions
 from crekit.partition import PartitionInstance, build_expressions
 from crekit.syntax import Alt, Concat, CountRange, Rep, Symbol, parse_expr
 from crekit.unambiguity import (
@@ -13,6 +14,7 @@ from crekit.unambiguity import (
     is_single_occurrence,
 )
 from oracle import glushkov_is_deterministic
+from position_oracle import first_conflict_reference
 
 A, B = Symbol("a"), Symbol("b")
 
@@ -129,3 +131,22 @@ def test_conflicts_are_recheckable(e):
 @settings(max_examples=200, deadline=None)
 def test_agrees_with_position_automaton_determinism(e):
     assert check_unambiguous(e).unambiguous == glushkov_is_deterministic(glushkov(e))
+
+
+@given(st.one_of(expressions(), sugar_expressions()))
+@settings(max_examples=300, deadline=None)
+def test_first_conflict_matches_reference(e):
+    assert check_unambiguous(e).conflict == first_conflict_reference(e)
+
+
+@pytest.mark.parametrize(
+    "text", ["(x|y){0,260} z", "x{0,260} x", "(a|%){0,50} a", "((a|b){2,3}){1,2} b"]
+)
+def test_first_conflict_matches_reference_on_expansions(text):
+    for e in (parse_expr(text), expand(parse_expr(text))):
+        assert check_unambiguous(e).conflict == first_conflict_reference(e)
+
+
+def test_first_conflict_matches_reference_on_corpus():
+    for e in make_corpus(400, seed=12, depth=4):
+        assert check_unambiguous(e).conflict == first_conflict_reference(e)
