@@ -22,7 +22,6 @@ from .engine import (
     DEFAULT_WORD_LIMIT,
     LengthSet,
     Nfa,
-    Positions,
     Word,
     automaton,
     enumerate_words,
@@ -33,7 +32,6 @@ from .engine import (
     member,
     node_count,
     parse_word,
-    positions,
     render_word,
 )
 from .errors import (

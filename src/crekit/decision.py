@@ -239,15 +239,6 @@ def _witness(a: Nfa, a_masks, syms, layers, goals, rows, moves) -> Word:
     return tuple(word)
 
 
-def _includes(
-    a: Nfa, b: Nfa, syms: tuple[str, ...], state_budget: int
-) -> InclusionVerdict:
-    """``includes`` on built automata: a search for a pair (q, S) with q
-    accepting and the right subset S rejecting."""
-    witness = _search(a, b, syms, False, state_budget)
-    return InclusionVerdict(holds=witness is None, witness=witness)
-
-
 def includes(
     left: Expr,
     right: Expr,
@@ -267,7 +258,8 @@ def includes(
     syms = union_alphabet(left, right)
     a = automaton(left, cap)
     b = automaton(right, cap)
-    return _includes(a, b, syms, state_budget)
+    witness = _search(a, b, syms, False, state_budget)
+    return InclusionVerdict(holds=witness is None, witness=witness)
 
 
 def overlaps(
@@ -302,12 +294,10 @@ def equivalent(
     """
     a = automaton(left, cap)
     b = automaton(right, cap)
-    forward = _includes(a, b, union_alphabet(left, right), state_budget)
-    if not forward.holds:
-        return EquivalenceVerdict(equivalent=False, witness=forward.witness, side="left")
-    backward = _includes(b, a, union_alphabet(right, left), state_budget)
-    if not backward.holds:
-        return EquivalenceVerdict(
-            equivalent=False, witness=backward.witness, side="right"
-        )
+    witness = _search(a, b, union_alphabet(left, right), False, state_budget)
+    if witness is not None:
+        return EquivalenceVerdict(equivalent=False, witness=witness, side="left")
+    witness = _search(b, a, union_alphabet(right, left), False, state_budget)
+    if witness is not None:
+        return EquivalenceVerdict(equivalent=False, witness=witness, side="right")
     return EquivalenceVerdict(equivalent=True)

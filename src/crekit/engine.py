@@ -21,14 +21,13 @@ ExpansionCapExceeded up front (the required size is computed
 arithmetically before anything is built), never silently truncates.
 
 The same pass, ``position_pass``, is the one position analysis: read
-counter-blind, it serves the weak-unambiguity check, and ``positions`` is a
-set view of it.  A set of automaton states is an
-int, bit q for state q.  The automaton keeps one symbol per position and
-one follow mask per state, each shifted down to its lowest member, so its
-storage is O(n) bytes for a chain of n positions; a subset step is
-``reach(S) & symbol_mask`` (Chang and Paige, "From regular expressions to
-DFA's using compressed NFA's", TCS 1997).  Every tree walk here runs on
-``syntax.postorder`` instead of recursion.
+counter-blind, it serves the weak-unambiguity check.  A set of automaton
+states is an int, bit q for state q.  The automaton keeps one symbol per
+position and one follow mask per state, each shifted down to its lowest
+member, so its storage is O(n) bytes for a chain of n positions; a subset
+step is ``reach(S) & symbol_mask`` (Chang and Paige, "From regular
+expressions to DFA's using compressed NFA's", TCS 1997).  Every tree walk
+here runs on ``syntax.postorder`` instead of recursion.
 
 ``automaton(e, cap)`` is the one place that calls ``glushkov``, and every
 query on a tree (``member``, ``language_iter``, ``includes``,
@@ -44,7 +43,7 @@ lexemes, with the empty word written ``%``.
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
+import re
 from dataclasses import dataclass, field
 
 from .errors import ExpansionCapExceeded, ExprSyntaxError, ResultTooLarge
@@ -80,11 +79,13 @@ def parse_word(text: str) -> Word:
     stripped = text.strip()
     if stripped in ("", "%"):
         return ()
-    symbols = tuple(stripped.split())
-    for sym in symbols:
+    symbols = []
+    for m in re.finditer(r"\S+", text):
+        sym = m.group()
         if not is_symbol_name(sym):
-            raise ExprSyntaxError(f"invalid symbol {sym!r} in word", text.index(sym))
-    return symbols
+            raise ExprSyntaxError(f"invalid symbol {sym!r} in word", m.start())
+        symbols.append(sym)
+    return tuple(symbols)
 
 
 def node_count(e: Expr) -> int:
@@ -176,12 +177,21 @@ def _unroll(inner: Expr, count: CountRange) -> Expr:
 # --- position automaton ------------------------------------------------------
 
 
-def bits(x: int):
-    """Indexes of the set bits of ``x``, ascending."""
+def bits(x: int) -> list[int]:
+    """Indexes of the set bits of ``x``, ascending, in time linear in its length."""
+    out = []
+    if x >> 64:  # each step of the bit loop would copy all of x
+        text = bin(x)[:1:-1]  # binary digits, least significant first
+        i = text.find("1")
+        while i >= 0:
+            out.append(i)
+            i = text.find("1", i + 1)
+        return out
     while x:
         low = x & -x
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         x ^= low
+    return out
 
 
 def _mask(members) -> int:
@@ -272,23 +282,6 @@ class Nfa:
 # --- the position pass -------------------------------------------------------
 
 
-def _members(x: int) -> list[int]:
-    """``list(bits(x))``, in time linear in the length of ``x``."""
-    out = []
-    if x >> 64:  # each step of the bit loop would copy all of x
-        text = bin(x)[:1:-1]  # binary digits, least significant first
-        i = text.find("1")
-        while i >= 0:
-            out.append(i)
-            i = text.find("1", i + 1)
-        return out
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
-
-
 def _tile(mask: int, width: int, count: int) -> int:
     """``count`` copies of ``mask``, copy j shifted by j * width bits."""
     out, done = 0, 0
@@ -311,7 +304,7 @@ def _link(
     each position ``base + r``, r in mask ``last``; ``first`` is not 0."""
     low = (first & -first).bit_length() - 1
     lo, add = to + low, first >> low
-    for r in _members(last):
+    for r in bits(last):
         q = base + r
         mask = follow[q]
         if not mask:
@@ -404,7 +397,7 @@ def position_pass(
                 else:
                     _link(offsets, follow, base, l, base + m, f)
                     # every copy but the last links to its successor alike
-                    for r in _members(l):
+                    for r in bits(l):
                         q = base + r
                         o, stop = offsets[q], q + (copies - 1) * m
                         offsets[q + m : stop : m] = range(o + m, o + stop - q, m)
@@ -439,54 +432,6 @@ def glushkov(e: Expr, cap: int = DEFAULT_EXPANSION_CAP) -> Nfa:
     order = postorder(e)
     _check_cap(order, cap)
     return Nfa(*position_pass(order, counter_blind=False))
-
-
-@dataclass(frozen=True)
-class Positions:
-    """Position analysis of an expression, as sets.
-
-    Positions are the symbol occurrences, numbered 1..n in document order.
-    ``follow[p]`` is the set of positions that may follow position p, and
-    ``follow[0]`` is the first set: the successors of the initial state.
-    """
-
-    symbols: tuple[str, ...]  # symbols[p-1] is the symbol at position p
-    nullable: bool
-    last: AbstractSet[int]
-    follow: tuple[AbstractSet[int], ...]
-
-    @property
-    def first(self) -> AbstractSet[int]:
-        return self.follow[0]
-
-
-_STAR_RANGES = ((0, 1), (0, None), (1, None))
-
-
-def positions(e: Expr, *, counter_blind: bool = False) -> Positions:
-    """Nullable, first, last and follow sets of ``e``.
-
-    This is a set view of ``position_pass``.  By default only the ranges
-    {0,1}, {0,unbounded} and {1,unbounded} are accepted, and any other
-    raises ValueError.  With ``counter_blind`` every range is accepted, and
-    counter values never disambiguate.
-    """
-    order = postorder(e)
-    if not counter_blind:
-        for x in order:
-            if type(x) is Rep and (x.count.low, x.count.high) not in _STAR_RANGES:
-                raise ValueError(
-                    f"positions needs expanded input, found {x.count.render()}"
-                )
-    symbols, offsets, follow, accepting = position_pass(order, counter_blind)
-    last = set(_members(accepting))
-    last.discard(0)
-    return Positions(
-        symbols=symbols,
-        nullable=bool(accepting & 1),
-        last=last,
-        follow=tuple([set(_members(f << o)) for o, f in zip(offsets, follow)]),
-    )
 
 
 # The tree, cap and automaton of the last successful ``automaton`` build.
@@ -527,19 +472,17 @@ def language_iter(
     max_len: int,
     *,
     cap: int = DEFAULT_EXPANSION_CAP,
-    symbol_order=None,
     word_limit: int = DEFAULT_WORD_LIMIT,
 ):
     """Yield the words of L(e) with length <= max_len.
 
-    Order is length first, then lexicographic by ``symbol_order`` (default:
-    first-occurrence order of the expression's alphabet).  The words
-    yielded and the prefixes pending for the next length are each charged
-    against ``word_limit``: exceeding it raises ResultTooLarge.
+    Order is length first, then lexicographic by the first-occurrence order
+    of the expression's alphabet.  The words yielded and the prefixes
+    pending for the next length are each charged against ``word_limit``:
+    exceeding it raises ResultTooLarge.
     """
     nfa = automaton(e, cap)
-    syms = tuple(symbol_order) if symbol_order is not None else tuple(alphabet_of(e))
-    steps = [(sym, nfa.symbol_masks.get(sym, 0)) for sym in syms]
+    steps = [(sym, nfa.symbol_masks.get(sym, 0)) for sym in alphabet_of(e)]
     accepting = nfa.accepting
     yielded = 0
     if accepting & 1:

@@ -46,7 +46,6 @@ class ExprSyntaxError(CrekitError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-        self.reason = message
 
 
 class InvalidCountError(CrekitError):

@@ -66,10 +66,6 @@ class CountRange:
         if limit and top.bit_length() > 3 * limit and top >= 10**limit:
             raise InvalidCountError(f"count has more than {limit} digits")
 
-    @property
-    def unbounded(self) -> bool:
-        return self.high is None
-
     def render(self) -> str:
         if self.high is None:
             return "{%d,}" % self.low

@@ -3,11 +3,14 @@
 The language oracle is a direct denotational recursion over the AST, and
 the partition oracle enumerates subsets with itertools; neither uses the
 library's automaton pipeline.  The inclusion reference enumerates the left
-language and membership-tests the right one: it shares ``union_alphabet``,
-``expand``, ``glushkov`` and ``language_iter`` with the library, but not the
-product search that ``crekit.decision.includes`` runs.  The overlap
-reference intersects two ``brute_language`` enumerations and shares no code
-with ``crekit.decision``.  The position references are in
+language and membership-tests the right one: it shares ``expand``,
+``glushkov`` and ``language_iter`` with the library, but nothing of
+``crekit.decision``, the product search it checks.  Its witness order needs
+no union alphabet: a word of L(left) holds only symbols of left, and the
+union alphabet lists those first, in the order ``language_iter`` uses.  The
+overlap reference intersects two ``brute_language`` enumerations.
+``tests/test_one_build.py`` keeps this module from importing
+``crekit.decision``.  The position references are in
 ``position_oracle.py``.  Expected values in the tests are frozen from (or
 re-checked against) these.
 """
@@ -15,7 +18,6 @@ re-checked against) these.
 from dataclasses import dataclass
 from itertools import combinations
 
-from crekit.decision import union_alphabet
 from crekit.engine import DEFAULT_WORD_LIMIT, expand, glushkov, language_iter
 from crekit.errors import ResultTooLarge
 from crekit.syntax import Alt, Concat, Epsilon, Rep, Symbol
@@ -79,10 +81,9 @@ def includes_reference(left, right, len_bound):
     bound below the state-count product of the two automata is only sound up
     to that bound and carries it in ``checked_up_to``.
     """
-    syms = union_alphabet(left, right)
     a = glushkov(expand(left))
     b = glushkov(expand(right))
-    for seen, word in enumerate(language_iter(left, len_bound, symbol_order=syms), 1):
+    for seen, word in enumerate(language_iter(left, len_bound), 1):
         if seen > DEFAULT_WORD_LIMIT:
             raise ResultTooLarge(DEFAULT_WORD_LIMIT)
         if not b.accepts(word):

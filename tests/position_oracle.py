@@ -3,13 +3,35 @@
 ``positions_reference`` is the position analysis with one Python set per
 position, and ``first_conflict_reference`` searches its counter-blind sets
 for the conflict ``check_unambiguous`` reports.  Neither shares code with
-the mask-based ``crekit.engine.position_pass`` they check.  They live apart
-from ``oracle.py``, which the benchmark loads at every set-up.
+the mask-based ``crekit.engine.position_pass`` they check: this module
+imports nothing from ``crekit.engine``, and ``tests/test_one_build.py``
+keeps it so.  They live apart from ``oracle.py``, which the benchmark loads
+at every set-up.
 """
 
-from crekit.engine import Positions
+from dataclasses import dataclass
+
 from crekit.syntax import Alt, Epsilon, Rep, Symbol, postorder
 from crekit.unambiguity import FIRST_SET, FOLLOW_SET, Conflict
+
+
+@dataclass(frozen=True)
+class Positions:
+    """Position analysis of an expression, as sets.
+
+    Positions are the symbol occurrences, numbered 1..n in document order.
+    ``follow[p]`` is the set of positions that may follow position p, and
+    ``follow[0]`` is the first set: the successors of the initial state.
+    """
+
+    symbols: tuple[str, ...]  # symbols[p-1] is the symbol at position p
+    nullable: bool
+    last: set[int]
+    follow: tuple[set[int], ...]
+
+    @property
+    def first(self) -> set[int]:
+        return self.follow[0]
 
 
 def _merge(a, b):

@@ -89,6 +89,12 @@ class TestMemberCommand:
         code, out, _ = run_cli(capsys, "member", "a{0,1}", "%")
         assert code == 0 and out.strip() == "true"
 
+    def test_bad_word_symbol_names_its_position(self, capsys):
+        # the bad '1' starts at offset 3, not inside the earlier 'a1'
+        code, out, err = run_cli(capsys, "member", "a1", "a1 1")
+        assert code == 2 and out == ""
+        assert err == "error[SYNTAX]: invalid symbol '1' in word (at position 3)\n"
+
     def test_large_counter_hits_the_cap(self, capsys):
         # 30000 optional copies need 119999 nodes, over the default cap
         code, out, err = run_cli(capsys, "member", "a{0,30000}", "a")

@@ -6,9 +6,15 @@ would quietly bring back one build per query.  ``glushkov`` builds counted
 trees directly, so no code in crekit calls ``expand``: it stays as the
 reference semantics the tests compare against.  The guard reads each module
 of crekit with ``ast`` and lists every call of either name, as ``f(...)``
-or ``x.f(...)``, with the function that makes it."""
+or ``x.f(...)``, with the function that makes it.
+
+A second guard keeps each oracle independent of the code it checks:
+``position_oracle.py`` imports nothing from ``crekit.engine``, which holds
+the position pass, and ``oracle.py`` nothing from ``crekit.decision``,
+which holds the product search."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -16,7 +22,10 @@ import pytest
 import crekit
 
 SRC = Path(crekit.__file__).parent
+TESTS = Path(__file__).parent
 BUILDERS = ("expand", "glushkov")
+# oracle -> the crekit module it checks, and must not import from
+ORACLES = {"oracle.py": "crekit.decision", "position_oracle.py": "crekit.engine"}
 
 
 class _BuilderCalls(ast.NodeVisitor):
@@ -67,3 +76,43 @@ def test_only_automaton_builds(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"), module)
     want = [("automaton", "glushkov")]
     assert builder_calls(tree) == (want if module == "engine.py" else [])
+
+
+def imported_from(tree: ast.Module) -> set[str]:
+    """Modules that ``tree`` imports from, anywhere in it.  A name taken from
+    the ``crekit`` package counts as taken from the module that defines it."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+            if node.module == "crekit":
+                for alias in node.names:
+                    value = getattr(crekit, alias.name, None)
+                    module = inspect.getmodule(value)
+                    if module is not None:
+                        found.add(module.__name__)
+    return found
+
+
+def test_guard_sees_imports():
+    tree = ast.parse(
+        "import crekit.engine as eng\n"
+        "from crekit.decision import includes\n"
+        "from crekit import Nfa, syntax\n"
+        "def late():\n"
+        "    from crekit import union_alphabet\n"
+    )
+    assert imported_from(tree) == {
+        "crekit",
+        "crekit.decision",
+        "crekit.engine",
+        "crekit.syntax",
+    }
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLES))
+def test_oracle_imports_nothing_it_checks(oracle):
+    tree = ast.parse((TESTS / oracle).read_text(encoding="utf-8"), oracle)
+    assert ORACLES[oracle] not in imported_from(tree)
