@@ -9,6 +9,9 @@ depth form a layer, stored as a dict from right key to the bitmask of the
 left states paired with it, so a whole group advances on a symbol with one
 AND.  Left states are never merged into subsets: determinizing the left
 side as well is exponential on expressions such as ``(a|b)* a (a|b){18}``.
+Each side steps its subsets with ``_step``: up to 64 states, through a
+per-search Four-Russians table (Myers 1992) of the follow union of each byte
+of a subset, as those bytes mostly repeat; the witness keeps ``Nfa.reach``.
 
 When a layer holds a goal pair the layer is finished, a backward pass over
 the stored layers keeps the pairs that lead to a goal, and a forward walk
@@ -27,6 +30,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .engine import DEFAULT_EXPANSION_CAP, Nfa, Word, automaton, bits
 from .errors import StateBudgetExceeded
@@ -74,13 +78,7 @@ class EquivalenceVerdict:
 
 def union_alphabet(left: Expr, right: Expr) -> tuple[str, ...]:
     """Symbols of left in order, then symbols private to right in order."""
-    out = list(alphabet_of(left))
-    seen = set(out)
-    for sym in alphabet_of(right):
-        if sym not in seen:
-            out.append(sym)
-            seen.add(sym)
-    return tuple(out)
+    return tuple(dict.fromkeys(alphabet_of(left) + alphabet_of(right)))
 
 
 class _Right:
@@ -91,11 +89,11 @@ class _Right:
     subset is a rejecting sink); overlap, with ``split``, makes one key per
     state.  ``rows[k][i]`` caches the ids of the successor keys of key k on
     symbol i, or is None until first asked for, so the search handles small
-    ids and never rehashes a subset it has seen.
+    ids, never rehashes a subset, and steps each key once (``_step``, into ``reaches``).
     """
 
     def __init__(self, b: Nfa, masks: list[int], split: bool):
-        self.b, self.masks, self.split = b, masks, split
+        self.reach, self.masks, self.split = _step(b), masks, split
         self.ids: dict[int, int] = {}
         self.keys: list[int] = []
         self.reaches: list[int | None] = []
@@ -114,7 +112,7 @@ class _Right:
         """Fill in and return ``rows[k][i]``."""
         reach = self.reaches[k]
         if reach is None:
-            reach = self.reaches[k] = self.b.reach(self.keys[k])
+            reach = self.reaches[k] = self.reach(self.keys[k])
         targets = reach & self.masks[i]
         if not self.split:
             row = (self.intern(targets),)
@@ -126,10 +124,30 @@ class _Right:
         return row
 
 
-def _moves(a: Nfa, states: int, a_masks: list[int]) -> list[tuple[int, int]]:
-    """``(symbol index, successor states)`` for each symbol ``states`` can read."""
-    reach = a.reach(states)
-    return [(i, reach & m) for i, m in enumerate(a_masks) if reach & m]
+def _step(n: Nfa) -> Callable[[int], int]:
+    """``n.reach`` for one search; up to 64 states, through a table that maps
+    ``chunk << 8 | byte`` to the follow union of that byte's states."""
+    reach = n.reach
+    if n.state_count > 64:
+        return reach
+    table: dict[int, int] = {}  # freed with the search: <= 8 * 255 entries
+
+    def step(states: int) -> int:
+        if not states & (states - 1):
+            return reach(states)
+        out = key = 0
+        while states:
+            byte = states & 255
+            if byte:
+                got = table.get(key | byte)
+                if got is None:
+                    got = table[key | byte] = reach(byte << (key >> 5))
+                out |= got
+            states >>= 8
+            key += 256
+        return out
+
+    return step
 
 
 def _search(
@@ -149,6 +167,7 @@ def _search(
     right = _Right(b, [b.symbol_masks.get(sym, 0) for sym in syms], split)
     keys, rows, successors = right.keys, right.rows, right.successors
     a_accepting, b_accepting = a.accepting, b.accepting
+    a_step = _step(a)
     moves: dict[int, list[tuple[int, int]]] = {}
     layer = {right.intern(1): 1}  # the initial left state with the initial right key
     seen = dict(layer)
@@ -166,8 +185,10 @@ def _search(
         for k, states in layer.items():
             row = rows[k]
             step = moves.get(states)
-            if step is None:
-                step = moves[states] = _moves(a, states, a_masks)
+            if step is None:  # (symbol index, successors) per symbol it can read
+                union = a_step(states)
+                step = [(i, union & m) for i, m in enumerate(a_masks) if union & m]
+                moves[states] = step
             for i, targets in step:
                 nexts = row[i]
                 if nexts is None:
@@ -223,12 +244,10 @@ def _witness(a: Nfa, a_masks, syms, layers, goals, rows, moves) -> Word:
     for after in live[1:]:
         steps: dict[int, dict[int, int]] = {}
         for k, states in current.items():
-            row = rows[k]
-            step = moves.get(states)
-            if step is None:
-                step = moves[states] = _moves(a, states, a_masks)
-            for i, targets in step:
-                for k2 in row[i]:
+            row, union = rows[k], a.reach(states)
+            for i, m in enumerate(a_masks):
+                targets = union & m
+                for k2 in row[i] if targets else ():
                     new = targets & after.get(k2, 0)
                     if new:
                         group = steps.setdefault(i, {})

@@ -219,7 +219,8 @@ class Nfa:
     lowest member, so a follow set costs bytes in proportion to its span,
     not to q, and a chain such as ``a{0,u}`` stores O(u) bits in all.  A
     step is ``reach(S) & symbol_masks[sym]``, where ``reach(S)`` is the union
-    of the follow sets of the states in S, computed once for all symbols.
+    of the follow sets of the states in S, computed once for all symbols by
+    one OR per member (the product search tables it per byte, see decision).
     """
 
     symbols: tuple[str, ...]

@@ -1,0 +1,103 @@
+"""The product search's tabled subset step, and the families it speeds up.
+
+``decision._step`` replaces ``Nfa.reach`` inside one search: up to 64
+states through a table of follow unions per byte of a subset, above that
+``Nfa.reach`` itself.  The property test pins it to ``Nfa.reach`` on both
+sides of that scope.  The family tests take their answers from
+``tests/oracle.py``, which shares no code with the search, and the guard
+checks that a search leaves nothing behind on the automaton that
+``crekit.automaton`` remembers.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import crekit
+from conftest import expressions
+from crekit.decision import _step, equivalent, includes, overlaps
+from crekit.engine import glushkov
+from crekit.syntax import parse_expr
+from oracle import brute_language, overlaps_reference, shortlex_first, symbol_order
+
+
+def _subsets(n: int, rng: random.Random) -> list[int]:
+    """Empty, single-state, full, random and top-byte-only sets of n states."""
+    full = (1 << n) - 1
+    top = 8 * ((n - 1) // 8)  # the first bit of the highest byte
+    out = [0, full, full >> top << top]
+    out += [1 << q for q in range(n)]
+    out += [rng.getrandbits(n) for _ in range(40)]
+    out += [rng.getrandbits(8) << top & full for _ in range(20)]
+    return out
+
+
+def _check_step(nfa, seed: int) -> None:
+    step = _step(nfa)
+    assert (step == nfa.reach) == (nfa.state_count > 64)  # passed through above 64
+    for _ in range(2):  # the second round reads the table the first one filled
+        for states in _subsets(nfa.state_count, random.Random(seed)):
+            assert step(states) == nfa.reach(states), bin(states)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions(), st.integers(0, 2**32))
+def test_step_equals_reach_on_random_expressions(e, seed):
+    _check_step(glushkov(e), seed)
+
+
+def test_step_equals_reach_across_the_table_scope():
+    for u, states in ((62, 63), (63, 64), (64, 65)):
+        nfa = glushkov(parse_expr(f"a{{0,{u}}}"))
+        assert nfa.state_count == states
+        for seed in range(5):
+            _check_step(nfa, seed)
+    _check_step(glushkov(parse_expr("(a|b){0,20} c (a|b|c){0,10}")), 0)
+
+
+# --- the families of the search benchmark, at small sizes ------------------------
+
+
+def _family(k: int):
+    narrow = parse_expr(f"(a|b)* a (a|b){{{k}}}")
+    wide = parse_expr(f"(a|b)* (a|c) (a|b){{{k}}}")
+    split = parse_expr(f"(a|b)* a (a|b){{{k - 1}}} (a|b)")
+    return narrow, wide, split
+
+
+def test_search_families_match_the_oracle():
+    for k in range(3, 8):
+        narrow, wide, split = _family(k)
+        bound = k + 2
+        lang_n, lang_w = brute_language(narrow, bound), brute_language(wide, bound)
+        assert lang_n <= lang_w and includes(narrow, wide).holds
+        want = shortlex_first(lang_w - lang_n, symbol_order(wide, narrow))
+        assert want == ("c",) + ("a",) * k
+        assert includes(wide, narrow).witness == want
+        assert brute_language(split, bound) == lang_n
+        assert equivalent(narrow, split).equivalent
+    for u in range(4, 7):
+        left = parse_expr(f"(a|b|c){{1,{u}}} d")
+        right = parse_expr(f"(a|b){{1,{u}}} (c|d)")
+        common = brute_language(left, 2) & brute_language(right, 2)
+        assert common == {("a", "d"), ("b", "d")}  # a tie at the shortest length
+        assert overlaps(left, right).witness == overlaps_reference(left, right, 3)
+        assert overlaps(left, right).witness == ("a", "d")
+
+
+def test_search_leaves_the_remembered_automaton_untouched():
+    e = parse_expr("(a|b)* a (a|b){5}")
+    nfa = crekit.automaton(e)
+    fields = set(vars(nfa))
+    for query in (includes, overlaps, equivalent):
+        query(e, e)
+    assert crekit.automaton(e) is nfa
+    assert set(vars(nfa)) == fields
+    assert nfa == glushkov(e)
+    left, right = _family(5)[:2]
+    for query in (includes, overlaps, equivalent):
+        query(left, right)
+    remembered = crekit.automaton(right)  # the last tree ``equivalent`` built
+    assert set(vars(remembered)) == set(vars(glushkov(right)))
+    assert remembered == glushkov(right)
