@@ -93,7 +93,7 @@ class _Right:
     """
 
     def __init__(self, b: Nfa, masks: list[int], split: bool):
-        self.reach, self.masks, self.split = _step(b), masks, split
+        self.step, self.masks, self.split = _step(b), masks, split
         self.ids: dict[int, int] = {}
         self.keys: list[int] = []
         self.reaches: list[int | None] = []
@@ -112,7 +112,7 @@ class _Right:
         """Fill in and return ``rows[k][i]``."""
         reach = self.reaches[k]
         if reach is None:
-            reach = self.reaches[k] = self.reach(self.keys[k])
+            reach = self.reaches[k] = self.step(self.keys[k])
         targets = reach & self.masks[i]
         if not self.split:
             row = (self.intern(targets),)
