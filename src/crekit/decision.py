@@ -11,7 +11,10 @@ AND.  Left states are never merged into subsets: determinizing the left
 side as well is exponential on expressions such as ``(a|b)* a (a|b){18}``.
 Each side steps its subsets with ``_step``: up to 64 states, through a
 per-search Four-Russians table (Myers 1992) of the follow union of each byte
-of a subset, as those bytes mostly repeat; the witness keeps ``Nfa.reach``.
+of a subset, as those bytes mostly repeat; above that, through the links of
+the automaton, a constant number of big-int operations per link for a whole
+subset (the bit-vector form of Le Glaunec, Kong and Mamouras, OOPSLA 2023).
+The witness keeps ``Nfa.reach``.
 
 When a layer holds a goal pair the layer is finished, a backward pass over
 the stored layers keeps the pairs that lead to a goal, and a forward walk
@@ -126,13 +129,14 @@ class _Right:
 
 def _step(n: Nfa) -> Callable[[int], int]:
     """``n.reach`` for one search; up to 64 states, through a table that maps
-    ``chunk << 8 | byte`` to the follow union of that byte's states."""
+    ``chunk << 8 | byte`` to the follow union of that byte's states, and
+    above that through ``n.links`` when it has any."""
     reach = n.reach
     if n.state_count > 64:
-        return reach
+        return _link_step(n) if n.links else reach
     table: dict[int, int] = {}  # freed with the search: <= 8 * 255 entries
 
-    def step(states: int) -> int:
+    def table_step(states: int) -> int:
         if not states & (states - 1):
             return reach(states)
         out = key = 0
@@ -147,7 +151,42 @@ def _step(n: Nfa) -> Callable[[int], int]:
             key += 256
         return out
 
-    return step
+    return table_step
+
+
+def _link_step(n: Nfa) -> Callable[[int], int]:
+    """``n.reach`` through ``n.links``, in a few big-int operations per link.
+
+    In each w-bit field of a family, the low w - 1 bits plus ``2**(w-1) -
+    1`` carry into the top bit exactly when they are not all zero, so one
+    add finds the fields that meet the sources.  The top bits, shifted to
+    the start of their fields and multiplied by the targets, which span less
+    than w bits, give every hit field its targets at once.  A set with no
+    more members than there are links takes the member loop of ``n.reach``.
+    """
+    reach, links = n.reach, []
+    for o, w, sources, targets in n.links:
+        unit = low = 0
+        if w > 1:  # one bit at the start of each field, and the low bits
+            fields = -(-sources.bit_length() // w)
+            unit = ((1 << w * fields) - 1) // ((1 << w) - 1)
+            low = (unit << w - 1) - unit
+        links.append((o, w, sources, targets, low, low + unit))
+    cost = len(links)
+
+    def link_step(states: int) -> int:
+        if states.bit_count() <= cost:
+            return reach(states)
+        out = 0
+        for o, w, sources, targets, low, high in links:
+            hit = states >> o & sources
+            if hit:
+                if w > 1:
+                    hit = (((hit & low) + low | hit) & high) >> w - 1
+                out |= (hit * targets if w else targets) << o
+        return out
+
+    return link_step
 
 
 def _search(

@@ -6,8 +6,8 @@ or enumerate words breadth-first.  ``length_set`` computes the set of word
 lengths directly on the tree, which avoids the unary blowup and gives an
 independent cross-check of the automaton path.
 
-The automaton is that of the counter-free expansion (``expand``), which
-stays the reference semantics: ``E{l,u}`` unrolls into l copies of E
+The automaton equals that of the counter-free expansion ``expand``, where
+``E{l,u}`` unrolls into l copies of E
 followed by the nested optional chain ``(E (E (...)?)?)?`` of depth u-l,
 not a flat run of u-l copies of ``(E|%)``, so the last positions of one
 copy are followed only by the first positions of the next and a
@@ -25,9 +25,12 @@ counter-blind, it serves the weak-unambiguity check.  A set of automaton
 states is an int, bit q for state q.  The automaton keeps one symbol per
 position and one follow mask per state, each shifted down to its lowest
 member, so its storage is O(n) bytes for a chain of n positions; a subset
-step is ``reach(S) & symbol_mask`` (Chang and Paige, "From regular
-expressions to DFA's using compressed NFA's", TCS 1997).  Every tree walk
-here runs on ``syntax.postorder`` instead of recursion.
+step is ``reach(S) & symbol_mask``.  When the automaton can pass 64 states,
+the pass also keeps the links it adds as data, ``Nfa.links``: rectangles,
+and strided families that stand for all copies of a body at once (Chang and
+Paige, "From regular expressions to DFA's using compressed NFA's", TCS
+1997).  Every tree walk here runs on ``syntax.postorder`` instead of
+recursion.
 
 ``automaton(e, cap)`` is the one place that calls ``glushkov``, and every
 query on a tree (``member``, ``language_iter``, ``includes``,
@@ -208,6 +211,10 @@ def _mask(members) -> int:
     return int.from_bytes(buf, "little")
 
 
+# (origin, width, sources, targets), both masks shifted down by origin
+Link = tuple[int, int, int, int]
+
+
 @dataclass(frozen=True)
 class Nfa:
     """Epsilon-free position automaton over bitmask state sets.
@@ -220,13 +227,24 @@ class Nfa:
     not to q, and a chain such as ``a{0,u}`` stores O(u) bits in all.  A
     step is ``reach(S) & symbol_masks[sym]``, where ``reach(S)`` is the union
     of the follow sets of the states in S, computed once for all symbols by
-    one OR per member (the product search tables it per byte, see decision).
+    one OR per member (the product search steps wide subsets through
+    ``links`` instead, see decision).
+
+    ``links``, recorded only for automata that can pass 64 states, is the
+    follow relation as the pass built it (Chang and Paige's compressed
+    form).  A link ``(o, w, sources, targets)`` with width 0 is a
+    rectangle: a set S meeting ``sources << o`` reaches ``targets << o``.
+    With width w it is a strided family: for each field j, bits ``[o + j*w,
+    o + (j+1)*w)``, where S meets ``sources << o``, S reaches ``targets <<
+    o + j*w``; ``targets`` spans less than w bits, so all fields are spread
+    by one multiply.  Read state by state, the links give the follow sets.
     """
 
     symbols: tuple[str, ...]
     offsets: tuple[int, ...]
     follow: tuple[int, ...]
     accepting: int
+    links: tuple[Link, ...] = field(default=(), repr=False, compare=False)
     # symbol -> the set of states entered on it
     symbol_masks: dict[str, int] = field(init=False, repr=False, compare=False)
 
@@ -239,6 +257,14 @@ class Nfa:
                 raise ValueError("follow state out of range")
         if not 0 <= self.accepting < 1 << n:
             raise ValueError("accepting state out of range")
+        for o, w, sources, targets in self.links:
+            low = (targets & -targets).bit_length() - 1
+            top = o + (w and (sources.bit_length() - 1) // w * w)  # the last field
+            inside = max(o + sources.bit_length(), top + targets.bit_length()) <= n
+            if not inside or min(o, w, sources - 1, targets - 1, o + low - 1) < 0:
+                raise ValueError("link out of range")
+            if w and (targets >> low).bit_length() > w:
+                raise ValueError("link targets span its width")
         entered: dict[str, list[int]] = {}
         for q, sym in enumerate(self.symbols, 1):
             entered.setdefault(sym, []).append(q)
@@ -298,11 +324,13 @@ def _tile(mask: int, width: int, count: int) -> int:
         size *= 2
 
 
-def _link(
-    offsets: list[int], follow: list[int], base: int, last: int, to: int, first: int
-) -> None:
+def _link(offsets, follow, links, base: int, last: int, to: int, first: int) -> None:
     """Add positions ``to + i``, i in mask ``first``, to the follow set of
-    each position ``base + r``, r in mask ``last``; ``first`` is not 0."""
+    each position ``base + r``, r in mask ``last``, and record that as a
+    rectangle in ``links`` unless it is None; ``first`` is not 0."""
+    if links is not None:
+        o = min(base, to)
+        links.append((o, 0, last << base - o, first << to - o))
     low = (first & -first).bit_length() - 1
     lo, add = to + low, first >> low
     for r in bits(last):
@@ -317,14 +345,28 @@ def _link(
             offsets[q] = lo
 
 
+def _copy_links(links: list[Link], base: int, m: int, copies: int) -> None:
+    """Lay the links of a body of ``m`` positions at ``base`` over its copies."""
+    i = len(links)
+    while i and links[i - 1][0] >= base:  # the body's links end the list
+        i -= 1
+    body = links[i:]
+    del links[i:]
+    for o, w, sources, targets in body:
+        if not w or m % w == 0:  # one field per copy, or fields that line up
+            links.append((o, w or m, _tile(sources, m, copies), targets))
+        else:
+            links.extend([(o + j * m, w, sources, targets) for j in range(copies)])
+
+
 def position_pass(
     order: list[Expr], counter_blind: bool
-) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...], int]:
+) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...], int, tuple[Link, ...]]:
     """The position automaton of the tree whose ``postorder`` is ``order``.
 
     Returns the fields of its ``Nfa``: ``(symbols, offsets, follow,
-    accepting)``.  Positions are numbered as in the expansion, copy after
-    copy in document order, and the follow masks go straight into the
+    accepting, links)``.  Positions are numbered as in the expansion, copy
+    after copy in document order, and the follow masks go straight into the
     arrays.  A counted body is analysed once.  Its copies take its follow
     masks unchanged under shifted offsets, and then only the links between
     copies are added, by the rules that concatenation and the nested
@@ -332,8 +374,11 @@ def position_pass(
     are followed by the first positions of the next copy and, when the body
     is nullable, of every later one.  With ``counter_blind`` each repetition
     keeps one copy of its body, and its last positions are followed by its
-    first ones whenever its upper bound allows a second round.
+    first ones whenever its upper bound allows a second round.  Otherwise a
+    tree whose expansion can pass 64 states also records its links (see
+    ``Nfa``), turning a copied body's into families over the copies.
     """
+    links = None if counter_blind or _expansion_size(order) < 64 else []
     symbols: list[str] = []
     offsets = [0]  # state 0 gets the first set at the end
     follow = [0]
@@ -364,7 +409,7 @@ def position_pass(
             size, nullable, first, last = done[-k]
             for m, n, f, l in done[1 - k :]:
                 if last and f:
-                    _link(offsets, follow, base, last, base + size, f)
+                    _link(offsets, follow, links, base, last, base + size, f)
                 if nullable:
                     first |= f << size
                 last = last | l << size if n else l << size
@@ -383,6 +428,8 @@ def position_pass(
             else:  # E^low and the nested optional chain of high - low copies
                 copies, loop = high, False
             base = len(symbols) + 1 - m
+            if links is not None and copies > 1:
+                _copy_links(links, base, m, copies)
             if copies > 1:
                 body = offsets[base:]
                 symbols.extend(symbols[base - 1 :] * (copies - 1))
@@ -393,10 +440,12 @@ def position_pass(
                     reach = f  # first positions of copy j + 1 and every later copy
                     for j in range(copies - 2, -1, -1):
                         start = base + j * m
-                        _link(offsets, follow, start, l, start + m, reach)
+                        _link(offsets, follow, links, start, l, start + m, reach)
                         reach = f | reach << m
                 else:
-                    _link(offsets, follow, base, l, base + m, f)
+                    _link(offsets, follow, None, base, l, base + m, f)
+                    if links is not None:  # one family for every copy but the last
+                        links.append((base, m, _tile(l, m, copies - 1), f << m))
                     # every copy but the last links to its successor alike
                     for r in bits(l):
                         q = base + r
@@ -405,7 +454,7 @@ def position_pass(
                         follow[q + m : stop : m] = [follow[q]] * (copies - 2)
             if loop:
                 last_copy = base + (copies - 1) * m
-                _link(offsets, follow, last_copy, l, last_copy, f)
+                _link(offsets, follow, links, last_copy, l, last_copy, f)
             # a word may end in copy max(low, 1) or a later one; with a
             # nullable body, in any copy
             skip = 0 if n else min(max(low, 1), copies) - 1
@@ -419,7 +468,10 @@ def position_pass(
     if first:
         low = (first & -first).bit_length() - 1
         offsets[0], follow[0] = 1 + low, first >> low
-    return tuple(symbols), tuple(offsets), tuple(follow), last << 1 | nullable
+        if links is not None:
+            links.append((0, 0, 1, first << 1))
+    fields = tuple(symbols), tuple(offsets), tuple(follow), last << 1 | nullable
+    return *fields, tuple(links or ())
 
 
 def glushkov(e: Expr, cap: int = DEFAULT_EXPANSION_CAP) -> Nfa:

@@ -74,7 +74,7 @@ def check_unambiguous(e: Expr) -> UnambiguityVerdict:
     order = postorder(e)
     if _single_occurrence(order):
         return UnambiguityVerdict(unambiguous=True)
-    symbols, offsets, follow, _ = position_pass(order, counter_blind=True)
+    symbols, offsets, follow, _, _ = position_pass(order, counter_blind=True)
     masks: dict[str, int] = {}
     for q, sym in enumerate(symbols, 1):
         masks[sym] = masks.get(sym, 0) | 1 << q

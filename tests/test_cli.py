@@ -195,6 +195,13 @@ class TestDecisionCommands:
         assert code == 3 and out == ""
         assert err.startswith("error[STATE_BUDGET]: ") and err.count("\n") == 1
 
+    def test_include_nested_counters_in_bounded_time(self):
+        # right keys of thousands of states in a 12,801-state automaton
+        argv = ("include", "(a|b){1,}", "((a|b){1,80}){1,80}")
+        code, out, err = run_guarded(*argv, seconds=10)
+        assert code == 1 and err == ""
+        assert out.splitlines() == ["fails", "witness: " + " ".join(["a"] * 6401)]
+
     def test_overlap(self, capsys):
         code, out, _ = run_cli(capsys, "overlap", "a{1,2}", "a{2,3}")
         assert code == 0

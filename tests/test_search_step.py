@@ -1,9 +1,10 @@
-"""The product search's tabled subset step, and the families it speeds up.
+"""The product search's subset step, and the families it speeds up.
 
 ``decision._step`` replaces ``Nfa.reach`` inside one search: up to 64
 states through a table of follow unions per byte of a subset, above that
-``Nfa.reach`` itself.  The property test pins it to ``Nfa.reach`` on both
-sides of that scope.  The family tests take their answers from
+through the automaton's links (``tests/test_links.py`` checks them on wide
+shapes), and ``Nfa.reach`` itself for a wide automaton without links.  The
+property test pins it to ``Nfa.reach`` on every side of that scope.  The family tests take their answers from
 ``tests/oracle.py``, which shares no code with the search, and the guard
 checks that a search leaves nothing behind on the automaton that
 ``crekit.automaton`` remembers.
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import crekit
 from conftest import expressions
 from crekit.decision import _step, equivalent, includes, overlaps
-from crekit.engine import glushkov
+from crekit.engine import Nfa, glushkov
 from crekit.syntax import parse_expr
 from oracle import brute_language, overlaps_reference, shortlex_first, symbol_order
 
@@ -35,7 +36,9 @@ def _subsets(n: int, rng: random.Random) -> list[int]:
 
 def _check_step(nfa, seed: int) -> None:
     step = _step(nfa)
-    assert (step == nfa.reach) == (nfa.state_count > 64)  # passed through above 64
+    # the table up to 64 states, the links above, and ``reach`` without links
+    scope = "table" if nfa.state_count <= 64 else "link" if nfa.links else None
+    assert step.__name__ == f"{scope}_step" if scope else step == nfa.reach
     for _ in range(2):  # the second round reads the table the first one filled
         for states in _subsets(nfa.state_count, random.Random(seed)):
             assert step(states) == nfa.reach(states), bin(states)
@@ -53,6 +56,7 @@ def test_step_equals_reach_across_the_table_scope():
         assert nfa.state_count == states
         for seed in range(5):
             _check_step(nfa, seed)
+    _check_step(Nfa(nfa.symbols, nfa.offsets, nfa.follow, nfa.accepting), 0)
     _check_step(glushkov(parse_expr("(a|b){0,20} c (a|b|c){0,10}")), 0)
 
 
