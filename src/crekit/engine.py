@@ -25,12 +25,12 @@ counter-blind, it serves the weak-unambiguity check.  A set of automaton
 states is an int, bit q for state q.  The automaton keeps one symbol per
 position and one follow mask per state, each shifted down to its lowest
 member, so its storage is O(n) bytes for a chain of n positions; a subset
-step is ``reach(S) & symbol_mask``.  When the automaton can pass 64 states,
-the pass also keeps the links it adds as data, ``Nfa.links``: rectangles,
-and strided families that stand for all copies of a body at once (Chang and
-Paige, "From regular expressions to DFA's using compressed NFA's", TCS
-1997).  Every tree walk here runs on ``syntax.postorder`` instead of
-recursion.
+step is ``reach(S) & symbol_mask``.  When the automaton has more than 64
+states, the pass also keeps the links it adds as data, ``Nfa.links``:
+rectangles, and strided families that stand for all copies of a body at
+once (Chang and Paige, "From regular expressions to DFA's using compressed
+NFA's", TCS 1997).  Every tree walk here runs on ``syntax.postorder``
+instead of recursion.
 
 ``automaton(e, cap)`` is the one place that calls ``glushkov``, and every
 query on a tree (``member``, ``language_iter``, ``includes``,
@@ -126,6 +126,22 @@ def _expansion_size(order: list[Expr]) -> int:
     return sizes[0]
 
 
+def _positions(order: list[Expr]) -> int:
+    """Number of positions ``position_pass`` gives the tree; pure arithmetic."""
+    counts: list[int] = []
+    for x in order:
+        t = type(x)
+        if t is Rep:
+            low, high = x.count.low, x.count.high
+            counts[-1] *= high if high is not None else low + 1 if low >= 2 else 1
+        elif t is Concat or t is Alt:
+            k = len(x.parts) if t is Concat else len(x.branches)
+            counts[-k:] = [sum(counts[-k:])]
+        else:
+            counts.append(1 if t is Symbol else 0)
+    return counts[0]
+
+
 def _check_cap(order: list[Expr], cap: int) -> None:
     """Raise ExpansionCapExceeded when the expansion of ``order`` exceeds ``cap``."""
     required = _expansion_size(order)
@@ -211,8 +227,7 @@ def _mask(members) -> int:
     return int.from_bytes(buf, "little")
 
 
-# (origin, width, sources, targets), both masks shifted down by origin
-Link = tuple[int, int, int, int]
+Link = tuple[int, int, int, int]  # origin, width, sources, targets: see Nfa
 
 
 @dataclass(frozen=True)
@@ -230,7 +245,7 @@ class Nfa:
     one OR per member (the product search steps wide subsets through
     ``links`` instead, see decision).
 
-    ``links``, recorded only for automata that can pass 64 states, is the
+    ``links``, recorded only for automata of more than 64 states, is the
     follow relation as the pass built it (Chang and Paige's compressed
     form).  A link ``(o, w, sources, targets)`` with width 0 is a
     rectangle: a set S meeting ``sources << o`` reaches ``targets << o``.
@@ -374,11 +389,11 @@ def position_pass(
     are followed by the first positions of the next copy and, when the body
     is nullable, of every later one.  With ``counter_blind`` each repetition
     keeps one copy of its body, and its last positions are followed by its
-    first ones whenever its upper bound allows a second round.  Otherwise a
-    tree whose expansion can pass 64 states also records its links (see
-    ``Nfa``), turning a copied body's into families over the copies.
+    first ones whenever its upper bound allows a second round.  Otherwise an
+    automaton of more than 64 states also records its links (see ``Nfa``),
+    turning a copied body's into families over the copies.
     """
-    links = None if counter_blind or _expansion_size(order) < 64 else []
+    links = None if counter_blind or _positions(order) < 64 else []
     symbols: list[str] = []
     offsets = [0]  # state 0 gets the first set at the end
     follow = [0]

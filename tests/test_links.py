@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import expressions
 from crekit.decision import _step
-from crekit.engine import Nfa, _expansion_size, bits, glushkov, position_pass
+from crekit.engine import Nfa, _positions, bits, glushkov, position_pass
 from crekit.partition import PartitionInstance, build_expressions
 from crekit.syntax import Symbol, concat, parse_expr, postorder, rep
 
@@ -54,8 +54,9 @@ def _read_links(nfa) -> list[int]:
 
 def _check_links(e) -> None:
     nfa = glushkov(e, cap=10**6)
-    recorded = _expansion_size(postorder(e)) >= 64
-    assert bool(nfa.links) == (recorded and nfa.state_count > 1)
+    assert _positions(postorder(e)) == nfa.state_count - 1
+    recorded = nfa.state_count > 64  # only where the search can use them
+    assert bool(nfa.links) == recorded
     assert position_pass(postorder(e), counter_blind=True)[4] == ()
     if recorded:
         want = [f << o for f, o in zip(nfa.follow, nfa.offsets)]
