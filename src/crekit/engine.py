@@ -7,12 +7,12 @@ lengths directly on the tree, which avoids the unary blowup and gives an
 independent cross-check of the automaton path.
 
 The automaton equals that of the counter-free expansion ``expand``, where
-``E{l,u}`` unrolls into l copies of E
-followed by the nested optional chain ``(E (E (...)?)?)?`` of depth u-l,
-not a flat run of u-l copies of ``(E|%)``, so the last positions of one
-copy are followed only by the first positions of the next and a
-non-nullable body gives O(u) transitions instead of O(u^2)
-(Brueggemann-Klein, "Regular expressions into finite automata", TCS 1993).
+``E{l,u}`` unrolls into l copies of E followed by the nested optional chain
+``(E (E (...)?)?)?`` of depth u-l, not a flat run of u-l copies of
+``(E|%)``, so the last positions of one copy are followed only by the first
+positions of the next and a non-nullable body gives O(u) transitions
+instead of O(u^2) (Brueggemann-Klein, "Regular expressions into finite
+automata", TCS 1993).
 ``glushkov`` never builds that tree.  It makes one pass over the counted
 tree, analyses each counted body once, lays its copies down by offset and
 adds only the links between copies.  Its size still grows with the counts,
@@ -342,10 +342,10 @@ def _tile(mask: int, width: int, count: int) -> int:
 def _link(offsets, follow, links, base: int, last: int, to: int, first: int) -> None:
     """Add positions ``to + i``, i in mask ``first``, to the follow set of
     each position ``base + r``, r in mask ``last``, and record that as a
-    rectangle in ``links`` unless it is None; ``first`` is not 0."""
+    rectangle in ``links`` unless it is None; ``first`` is not 0 and ``to``
+    is not below ``base``."""
     if links is not None:
-        o = min(base, to)
-        links.append((o, 0, last << base - o, first << to - o))
+        links.append((base, 0, last, first << to - base))
     low = (first & -first).bit_length() - 1
     lo, add = to + low, first >> low
     for r in bits(last):
@@ -443,9 +443,9 @@ def position_pass(
             else:  # E^low and the nested optional chain of high - low copies
                 copies, loop = high, False
             base = len(symbols) + 1 - m
-            if links is not None and copies > 1:
-                _copy_links(links, base, m, copies)
             if copies > 1:
+                if links is not None:
+                    _copy_links(links, base, m, copies)
                 body = offsets[base:]
                 symbols.extend(symbols[base - 1 :] * (copies - 1))
                 follow.extend(follow[base:] * (copies - 1))
