@@ -9,12 +9,15 @@ depth form a layer, stored as a dict from right key to the bitmask of the
 left states paired with it, so a whole group advances on a symbol with one
 AND.  Left states are never merged into subsets: determinizing the left
 side as well is exponential on expressions such as ``(a|b)* a (a|b){18}``.
-Each side steps its subsets with ``_step``: up to 64 states, through a
-per-search Four-Russians table (Myers 1992) of the follow union of each byte
-of a subset, as those bytes mostly repeat; above that, through the links of
-the automaton, a constant number of big-int operations per link for a whole
-subset (the bit-vector form of Le Glaunec, Kong and Mamouras, OOPSLA 2023).
-The witness keeps ``Nfa.reach``.
+When the right side has at most 64 states, each inclusion layer drops the
+pairs whose key strictly contains the smallest kept key of the same left
+state (antichains, De Wulf et al., CAV 2006); a goal met after a drop is
+spelled by a second, unpruned search.  Each side steps its subsets with
+``_step``: up to 64 states, through a per-search Four-Russians table (Myers
+1992) of the follow union of each byte of a subset, as those bytes mostly
+repeat; above that, through the links of the automaton, a constant number
+of big-int operations per link for a whole subset (the bit-vector form of
+Le Glaunec, Kong and Mamouras, OOPSLA 2023).  The witness keeps ``Nfa.reach``.
 
 When a layer holds a goal pair the layer is finished, a backward pass over
 the stored layers keeps the pairs that lead to a goal, and a forward walk
@@ -92,7 +95,8 @@ class _Right:
     subset is a rejecting sink); overlap, with ``split``, makes one key per
     state.  ``rows[k][i]`` caches the ids of the successor keys of key k on
     symbol i, or is None until first asked for, so the search handles small
-    ids, never rehashes a subset, and steps each key once (``_step``, into ``reaches``).
+    ids, never rehashes a subset, and steps each key once (``_step``, into
+    ``reaches``, which is freed once the key's row is full).
     """
 
     def __init__(self, b: Nfa, masks: list[int], split: bool):
@@ -124,6 +128,8 @@ class _Right:
         else:
             row = tuple([self.intern(1 << r) for r in bits(targets)])
         self.rows[k][i] = row
+        if None not in self.rows[k]:  # the row holds all the search reads
+            self.reaches[k] = None
         return row
 
 
@@ -189,9 +195,12 @@ def _link_step(n: Nfa) -> Callable[[int], int]:
     return link_step
 
 
+_LOST = object()  # a goal was reached, but the pruned layers may not spell it
+
+
 def _search(
-    a: Nfa, b: Nfa, syms: tuple[str, ...], split: bool, state_budget: int
-) -> Word | None:
+    a: Nfa, b: Nfa, syms: tuple[str, ...], split: bool, state_budget: int, prune=False
+) -> Word | None | object:
     """Shortest-lex word leading the product of ``a`` and ``b`` to a goal.
 
     A product pair is a left state q and a right key K (see ``_Right``).  A
@@ -201,6 +210,12 @@ def _search(
     A pair is a goal when q accepts and K rejects (inclusion, ``split``
     false) or K accepts (overlap, ``split`` true).  Every discovered pair is
     charged to ``state_budget``.  Returns None when no goal is reachable.
+
+    With ``prune`` (inclusion only), each new layer is visited by increasing
+    key size, and q is dropped from key K when the smallest key kept so far
+    with q is a strict subset of K, which reaches every goal (q, K) reaches
+    by the same word, no later.  That keeps the verdict and the witness
+    length but not the tie-break, so a goal met after a drop returns ``_LOST``.
     """
     a_masks = [a.symbol_masks.get(sym, 0) for sym in syms]
     right = _Right(b, [b.symbol_masks.get(sym, 0) for sym in syms], split)
@@ -212,12 +227,16 @@ def _search(
     seen = dict(layer)
     layers = [layer]
     found = 1
+    smallest: dict[int, int] = {}  # left state -> smallest kept key with it
+    dropped = False
     while layer:
         goals = {
             k: states & a_accepting
             for k, states in layer.items()
             if states & a_accepting and bool(keys[k] & b_accepting) == split
         }
+        if goals and dropped:
+            return _LOST
         if goals:
             return _witness(a, a_masks, syms, layers, goals, rows, moves)
         following: dict[int, int] = {}
@@ -241,7 +260,21 @@ def _search(
                         found += new.bit_count()
             if found > state_budget:
                 raise StateBudgetExceeded(state_budget, found, len(layers))
-        layer = following
+        if prune:
+            layer = {}
+            for k in sorted(following, key=lambda k: keys[k].bit_count()):
+                key, states = keys[k], following[k]
+                for q in bits(states):
+                    kept = smallest.get(q)
+                    if kept is None or kept.bit_count() > key.bit_count():
+                        smallest[q] = key
+                    elif kept & key == kept != key:
+                        states &= ~(1 << q)
+                        dropped = True
+                if states:
+                    layer[k] = states
+        else:
+            layer = following
         layers.append(layer)
     return None
 
@@ -297,6 +330,16 @@ def _witness(a: Nfa, a_masks, syms, layers, goals, rows, moves) -> Word:
     return tuple(word)
 
 
+def _inclusion(a: Nfa, b: Nfa, syms: tuple[str, ...], state_budget: int) -> Word | None:
+    """``_search`` for L(a) <= L(b), pruned when ``b`` has at most 64 states
+    (wider keys paid for the bookkeeping and dropped nothing), and rerun
+    unpruned when the prune lost the witness; each run charges its pairs."""
+    witness = _search(a, b, syms, False, state_budget, b.state_count <= 64)
+    if witness is _LOST:
+        witness = _search(a, b, syms, False, state_budget)
+    return witness
+
+
 def includes(
     left: Expr,
     right: Expr,
@@ -316,7 +359,7 @@ def includes(
     syms = union_alphabet(left, right)
     a = automaton(left, cap)
     b = automaton(right, cap)
-    witness = _search(a, b, syms, False, state_budget)
+    witness = _inclusion(a, b, syms, state_budget)
     return InclusionVerdict(holds=witness is None, witness=witness)
 
 
@@ -352,10 +395,10 @@ def equivalent(
     """
     a = automaton(left, cap)
     b = automaton(right, cap)
-    witness = _search(a, b, union_alphabet(left, right), False, state_budget)
+    witness = _inclusion(a, b, union_alphabet(left, right), state_budget)
     if witness is not None:
         return EquivalenceVerdict(equivalent=False, witness=witness, side="left")
-    witness = _search(b, a, union_alphabet(right, left), False, state_budget)
+    witness = _inclusion(b, a, union_alphabet(right, left), state_budget)
     if witness is not None:
         return EquivalenceVerdict(equivalent=False, witness=witness, side="right")
     return EquivalenceVerdict(equivalent=True)

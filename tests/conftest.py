@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from crekit import decision
 from crekit.syntax import EPSILON, CountRange, Symbol, alt, concat, rep
 
 SYMBOLS = ("a", "b", "c")
@@ -98,3 +99,17 @@ def sugar_expressions(symbols=SYMBOLS):
         st.just(EPSILON),
     )
     return st.recursive(base, _extend_sugar, max_leaves=8)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The ``prune`` flag of every ``decision._search`` call, in call order."""
+    calls = []
+    search = decision._search
+
+    def spy(a, b, syms, split, state_budget, prune=False):
+        calls.append(prune)
+        return search(a, b, syms, split, state_budget, prune)
+
+    monkeypatch.setattr(decision, "_search", spy)
+    return calls

@@ -202,6 +202,12 @@ class TestDecisionCommands:
         assert code == 1 and err == ""
         assert out.splitlines() == ["fails", "witness: " + " ".join(["a"] * 6401)]
 
+    def test_include_prunes_subsumed_subsets(self):
+        # unpruned, every right subset is kept: 2**17 keys, over the budget
+        argv = ("include", "(a|b)* a (a|b){16}", "(a|b)* (a|c) (a|b){16}")
+        code, out, err = run_guarded(*argv, seconds=10)
+        assert (code, out, err) == (0, "holds\n", "")
+
     def test_overlap(self, capsys):
         code, out, _ = run_cli(capsys, "overlap", "a{1,2}", "a{2,3}")
         assert code == 0

@@ -199,9 +199,13 @@ def _nondeterministic_pairs(count, seed):
             yield left, right, bound
 
 
-def test_witnesses_match_brute_force_shortest_lex():
-    """Every witness is the shortest-lex word the enumerated languages give."""
+def test_witnesses_match_brute_force_shortest_lex(searches):
+    """Every witness is the shortest-lex word the enumerated languages give.
+
+    Every right side has at most 64 states, so each inclusion search is
+    pruned; some reach a goal after a drop and rerun unpruned."""
     wrong = []
+    reruns = 0
     for left, right, bound in _nondeterministic_pairs(1500, seed=20261018):
         lang_l, lang_r = brute_language(left, bound), brute_language(right, bound)
         only_left = shortlex_first(lang_l - lang_r, symbol_order(left, right))
@@ -213,8 +217,12 @@ def test_witnesses_match_brute_force_shortest_lex():
         else:
             want_eq = (None, None)
         eq = equivalent(left, right)
+        searches.clear()
+        inclusion = includes(left, right)
+        assert searches[0] is True  # the right side is narrow
+        reruns += searches == [True, False]
         got = (
-            includes(left, right).witness,
+            inclusion.witness,
             overlaps(left, right).witness,
             (eq.witness, eq.side),
         )
@@ -222,3 +230,4 @@ def test_witnesses_match_brute_force_shortest_lex():
         if got != want:
             wrong.append((render_expr(left), render_expr(right), got, want))
     assert wrong == []
+    assert reruns
