@@ -11,8 +11,10 @@ AND.  Left states are never merged into subsets: determinizing the left
 side as well is exponential on expressions such as ``(a|b)* a (a|b){18}``.
 When the right side has at most 64 states, each inclusion layer drops the
 pairs whose key strictly contains the smallest kept key of the same left
-state (antichains, De Wulf et al., CAV 2006); a goal met after a drop is
-spelled by a second, unpruned search.  Each side steps its subsets with
+state (antichains, De Wulf et al., CAV 2006).  A goal met after a drop is
+spelled on the kept pairs, and one search seeded where a smaller word of
+that length would leave it checks the tie-break; only if one exists is the
+search run unpruned.  Each side steps its subsets with
 ``_step``: up to 64 states, through a per-search Four-Russians table (Myers
 1992) of the follow union of each byte of a subset, as those bytes mostly
 repeat; above that, through the links of the automaton, a constant number
@@ -195,12 +197,15 @@ def _link_step(n: Nfa) -> Callable[[int], int]:
     return link_step
 
 
-_LOST = object()  # a goal was reached, but the pruned layers may not spell it
-
-
 def _search(
-    a: Nfa, b: Nfa, syms: tuple[str, ...], split: bool, state_budget: int, prune=False
-) -> Word | None | object:
+    a: Nfa,
+    b: Nfa,
+    syms: tuple[str, ...],
+    split: bool,
+    state_budget: int,
+    prune=False,
+    seeds: dict[int, dict[int, int]] | None = None,
+) -> tuple[Word, bool] | None:
     """Shortest-lex word leading the product of ``a`` and ``b`` to a goal.
 
     A product pair is a left state q and a right key K (see ``_Right``).  A
@@ -209,13 +214,18 @@ def _search(
     symbol with one cached move of its whole mask and one cached right row.
     A pair is a goal when q accepts and K rejects (inclusion, ``split``
     false) or K accepts (overlap, ``split`` true).  Every discovered pair is
-    charged to ``state_budget``.  Returns None when no goal is reachable.
+    charged to ``state_budget``.  Returns None when no goal is reachable,
+    else the word and whether a pair was dropped.
 
     With ``prune`` (inclusion only), each new layer is visited by increasing
     key size, and q is dropped from key K when the smallest key kept so far
     with q is a strict subset of K, which reaches every goal (q, K) reaches
     by the same word, no later.  That keeps the verdict and the witness
-    length but not the tie-break, so a goal met after a drop returns ``_LOST``.
+    length but not the tie-break: the word is spelled on the kept pairs.
+
+    ``seeds[d]`` maps right keys to left states added at depth d (by
+    default the initial pair at depth 0); a seeded search ends at its
+    deepest seed and only tells whether it met a goal, with an empty word.
     """
     a_masks = [a.symbol_masks.get(sym, 0) for sym in syms]
     right = _Right(b, [b.symbol_masks.get(sym, 0) for sym in syms], split)
@@ -223,23 +233,49 @@ def _search(
     a_accepting, b_accepting = a.accepting, b.accepting
     a_step = _step(a)
     moves: dict[int, list[tuple[int, int]]] = {}
-    layer = {right.intern(1): 1}  # the initial left state with the initial right key
-    seen = dict(layer)
-    layers = [layer]
-    found = 1
+    starts = seeds or {0: {1: 1}}  # the initial left state with the initial right key
+    seen: dict[int, int] = {}
+    layers: list[dict[int, int]] = []
+    following: dict[int, int] = {}
+    found = 0
     smallest: dict[int, int] = {}  # left state -> smallest kept key with it
     dropped = False
-    while layer:
+    while following or len(layers) <= max(starts):
+        for key, states in starts.get(len(layers), {}).items():
+            k = right.intern(key)
+            new = states & ~seen.get(k, 0)
+            if new:
+                seen[k] = seen.get(k, 0) | new
+                following[k] = following.get(k, 0) | new
+                found += new.bit_count()
+        if prune:
+            layer = {}
+            for k in sorted(following, key=lambda k: keys[k].bit_count()):
+                key, states = keys[k], following[k]
+                for q in bits(states):
+                    kept = smallest.get(q)
+                    if kept is None or kept.bit_count() > key.bit_count():
+                        smallest[q] = key
+                    elif kept & key == kept != key:
+                        states &= ~(1 << q)
+                        dropped = True
+                if states:
+                    layer[k] = states
+        else:
+            layer = following
+        layers.append(layer)
         goals = {
             k: states & a_accepting
             for k, states in layer.items()
             if states & a_accepting and bool(keys[k] & b_accepting) == split
         }
-        if goals and dropped:
-            return _LOST
         if goals:
-            return _witness(a, a_masks, syms, layers, goals, rows, moves)
-        following: dict[int, int] = {}
+            if seeds:
+                return (), dropped
+            return _witness(a, a_masks, syms, layers, goals, rows, moves), dropped
+        if seeds and len(layers) > max(seeds):
+            return None
+        following = {}
         for k, states in layer.items():
             row = rows[k]
             step = moves.get(states)
@@ -260,22 +296,6 @@ def _search(
                         found += new.bit_count()
             if found > state_budget:
                 raise StateBudgetExceeded(state_budget, found, len(layers))
-        if prune:
-            layer = {}
-            for k in sorted(following, key=lambda k: keys[k].bit_count()):
-                key, states = keys[k], following[k]
-                for q in bits(states):
-                    kept = smallest.get(q)
-                    if kept is None or kept.bit_count() > key.bit_count():
-                        smallest[q] = key
-                    elif kept & key == kept != key:
-                        states &= ~(1 << q)
-                        dropped = True
-                if states:
-                    layer[k] = states
-        else:
-            layer = following
-        layers.append(layer)
     return None
 
 
@@ -332,12 +352,28 @@ def _witness(a: Nfa, a_masks, syms, layers, goals, rows, moves) -> Word:
 
 def _inclusion(a: Nfa, b: Nfa, syms: tuple[str, ...], state_budget: int) -> Word | None:
     """``_search`` for L(a) <= L(b), pruned when ``b`` has at most 64 states
-    (wider keys paid for the bookkeeping and dropped nothing), and rerun
-    unpruned when the prune lost the witness; each run charges its pairs."""
-    witness = _search(a, b, syms, False, state_budget, b.state_count <= 64)
-    if witness is _LOST:
-        witness = _search(a, b, syms, False, state_budget)
-    return witness
+    (wider keys paid for the bookkeeping and dropped nothing).  After a
+    drop, the pruned word w is a shortest witness, and a smaller one leaves
+    w at some t on a smaller symbol s.  A departure search seeded at each
+    depth t + 1 with the pairs ``w[:t] s`` reaches looks for one (a pair
+    first seen at a smaller depth cannot lead to a goal that deep); only if
+    it meets a goal is the search run unpruned.  Each charges its own pairs.
+    """
+    found = _search(a, b, syms, False, state_budget, b.state_count <= 64)
+    if found is None or not found[1]:
+        return found and found[0]
+    word, seeds, left, key = found[0], {}, 1, 1
+    for t, sym in enumerate(word):
+        left, key = a.reach(left), b.reach(key)
+        seeds[t + 1] = seed = {}
+        for s in syms[: syms.index(sym)]:
+            if left & a.symbol_masks.get(s, 0):
+                k = key & b.symbol_masks.get(s, 0)
+                seed[k] = seed.get(k, 0) | left & a.symbol_masks[s]
+        left, key = left & a.symbol_masks[sym], key & b.symbol_masks.get(sym, 0)
+    if _search(a, b, syms, False, state_budget, True, seeds) is None:
+        return word
+    return _search(a, b, syms, False, state_budget)[0]
 
 
 def includes(
@@ -377,8 +413,8 @@ def overlaps(
     syms = union_alphabet(left, right)
     a = automaton(left, cap)
     b = automaton(right, cap)
-    witness = _search(a, b, syms, True, state_budget)
-    return OverlapVerdict(overlaps=witness is not None, witness=witness)
+    found = _search(a, b, syms, True, state_budget)
+    return OverlapVerdict(overlaps=found is not None, witness=found and found[0])
 
 
 def equivalent(

@@ -103,13 +103,14 @@ def sugar_expressions(symbols=SYMBOLS):
 
 @pytest.fixture
 def searches(monkeypatch):
-    """The ``prune`` flag of every ``decision._search`` call, in call order."""
+    """The kind of every ``decision._search`` call, in call order: "pruned",
+    "departure" (pruned and seeded) or "unpruned"."""
     calls = []
     search = decision._search
 
-    def spy(a, b, syms, split, state_budget, prune=False):
-        calls.append(prune)
-        return search(a, b, syms, split, state_budget, prune)
+    def spy(a, b, syms, split, state_budget, prune=False, seeds=None):
+        calls.append("departure" if seeds else "pruned" if prune else "unpruned")
+        return search(a, b, syms, split, state_budget, prune, seeds)
 
     monkeypatch.setattr(decision, "_search", spy)
     return calls

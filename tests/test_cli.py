@@ -208,6 +208,14 @@ class TestDecisionCommands:
         code, out, err = run_guarded(*argv, seconds=10)
         assert (code, out, err) == (0, "holds\n", "")
 
+    def test_include_spells_a_pruned_witness(self):
+        # the converse: the pruned search spells c a^16, checked by one
+        # departure search, with no unpruned search over the budget
+        argv = ("include", "(a|b)* (a|c) (a|b){16}", "(a|b)* a (a|b){16}")
+        code, out, err = run_guarded(*argv, seconds=10)
+        assert code == 1 and err == ""
+        assert out.splitlines() == ["fails", "witness: c" + " a" * 16]
+
     def test_overlap(self, capsys):
         code, out, _ = run_cli(capsys, "overlap", "a{1,2}", "a{2,3}")
         assert code == 0

@@ -1,14 +1,18 @@
 """The in-layer prune of inclusion searches whose right side is narrow.
 
 ``decision._inclusion`` prunes the search when the right automaton has at
-most 64 states, and reruns it unpruned when a goal is met after a drop.
-The family ``(a|b)* a (a|b){k}`` against ``(a|b)* (a|c) (a|b){k}`` keeps
-every right subset unpruned (``2**(k+1)`` keys), so its holding queries
-fit a budget of 1,000 pairs only when subsumed pairs are dropped.  The
-converse fails with ``c a^k``, which the prune reaches but cannot spell;
-its answers come from ``tests/oracle.py``.  A right side over 64 states
-keeps the single unpruned search.
+most 64 states.  When a goal is met after a drop, the word spelled on the
+pruned layers stands unless one departure search finds a goal of the same
+length left of it, and only then is the search run unpruned.  The family
+``(a|b)* a (a|b){k}`` against ``(a|b)* (a|c) (a|b){k}`` keeps every right
+subset unpruned (``2**(k+1)`` keys), so its queries fit a budget of 1,000
+pairs only when subsumed pairs are dropped and the converse's witness
+``c a^k`` is spelled without an unpruned search; its answers come from
+``tests/oracle.py``.  A right side over 64 states keeps the single
+unpruned search.
 """
+
+import random
 
 import pytest
 
@@ -17,7 +21,7 @@ from crekit.decision import equivalent, includes
 from crekit.engine import automaton
 from crekit.errors import StateBudgetExceeded
 from crekit.partition import PartitionInstance, build_expressions
-from crekit.syntax import parse_expr
+from crekit.syntax import EPSILON, Symbol, alt, concat, parse_expr, rep
 from oracle import includes_reference
 
 
@@ -33,13 +37,35 @@ def test_holding_family_fits_a_small_budget(k, searches):
     narrow, wide, split = _family(k)
     assert includes(narrow, wide, state_budget=1_000).holds
     assert equivalent(narrow, split, state_budget=1_000).equivalent
-    assert searches == [True, True, True]  # no goal, so no rerun
+    assert searches == ["pruned"] * 3  # no goal, so no departure search
 
 
-def test_converse_reruns_unpruned_to_spell_the_witness(searches):
+@pytest.mark.parametrize("k", [16, 25])
+def test_failing_family_fits_a_small_budget(k):
+    narrow, wide, _ = _family(k)
+    want = ("c",) + ("a",) * k
+    assert includes(wide, narrow, state_budget=1_000).witness == want
+    verdict = equivalent(wide, narrow, state_budget=1_000)
+    assert (verdict.witness, verdict.side) == (want, "left")
+
+
+def test_converse_spells_the_pruned_word(searches):
     narrow, wide, _ = _family(11)
     assert includes(wide, narrow).witness == ("c",) + ("a",) * 11
-    assert searches == [True, False]
+    assert searches == ["pruned", "departure"]
+
+
+def test_departure_search_falls_back_to_the_unpruned_search(searches):
+    left = parse_expr("(%|(a c){4,10})((b|a){2,11}|c{6,14}a{3,11})")
+    right = parse_expr("a{5,}")
+    syms = decision.union_alphabet(left, right)
+    a, b = (automaton(e, decision.DEFAULT_EXPANSION_CAP) for e in (left, right))
+    assert decision._search(a, b, syms, False, 1_000, True) == (("a", "b"), True)
+    searches.clear()
+    want = includes_reference(left, right, 2)
+    got = includes(left, right)
+    assert (got.holds, got.witness) == (want.holds, want.witness) == (False, ("a", "a"))
+    assert searches == ["pruned", "departure", "unpruned"]
 
 
 @pytest.mark.parametrize("k", range(2, 6))
@@ -68,4 +94,44 @@ def test_wide_right_side_runs_once_unpruned(searches):
     with pytest.raises(StateBudgetExceeded) as info:
         includes(e1, e2, state_budget=150)
     assert (info.value.found, info.value.depth) == (151, 90)
-    assert searches == [False]
+    assert searches == ["unpruned"]
+
+
+def _counted(rng, depth, symbols):
+    if depth == 0 or rng.random() < 0.3:
+        return EPSILON if rng.random() < 0.1 else Symbol(rng.choice(symbols))
+    kind = rng.choice(("concat", "alt", "rep"))
+    parts = [_counted(rng, depth - 1, symbols) for _ in range(rng.randint(2, 3))]
+    if kind == "concat":
+        return concat(parts)
+    if kind == "alt":
+        return alt(parts)
+    low = rng.randint(0, 16)
+    high = None if rng.random() < 0.2 else rng.randint(max(low, 1), 16)
+    return rep(parts[0], low, high)
+
+
+def test_witnesses_match_the_unpruned_search(searches):
+    """Counted pairs too long for ``brute_language``, against the unpruned
+    search: a departure search must find every smaller word of the pruned
+    word's length, and one that finds it must fall back."""
+    rng = random.Random(20261019)
+    count = departures = fallbacks = 0
+    wrong = []
+    while count < 400:
+        symbols = ("a", "b", "c")[: rng.choice((2, 3))]
+        left, right = _counted(rng, 3, symbols), _counted(rng, 3, symbols)
+        a, b = (automaton(e, decision.DEFAULT_EXPANSION_CAP) for e in (left, right))
+        if b.state_count > 64:
+            continue
+        count += 1
+        syms = decision.union_alphabet(left, right)
+        want = decision._search(a, b, syms, False, decision.DEFAULT_STATE_BUDGET)
+        searches.clear()
+        got = includes(left, right).witness
+        departures += "departure" in searches
+        fallbacks += "unpruned" in searches
+        if got != (want and want[0]):
+            wrong.append((left, right, got, want))
+    assert wrong == []
+    assert departures and fallbacks
