@@ -23,7 +23,7 @@ def rendered_groups(depth=DEEP):
     return "(a" * depth + " b" + "|c)" * depth
 
 
-def random_expr(rng, depth, symbols=SYMBOLS, allow_unbounded=True):
+def random_expr(rng, depth, symbols=SYMBOLS, allow_unbounded=True, max_count=4):
     if depth == 0 or rng.random() < 0.35:
         if rng.random() < 0.12:
             return EPSILON
@@ -31,21 +31,21 @@ def random_expr(rng, depth, symbols=SYMBOLS, allow_unbounded=True):
     kind = rng.choices(("concat", "alt", "rep"), weights=(4, 3, 3))[0]
     if kind == "concat":
         parts = [
-            random_expr(rng, depth - 1, symbols, allow_unbounded)
+            random_expr(rng, depth - 1, symbols, allow_unbounded, max_count)
             for _ in range(rng.randint(2, 3))
         ]
         return concat(parts)
     if kind == "alt":
         branches = [
-            random_expr(rng, depth - 1, symbols, allow_unbounded)
+            random_expr(rng, depth - 1, symbols, allow_unbounded, max_count)
             for _ in range(rng.randint(2, 3))
         ]
         return alt(branches)
-    inner = random_expr(rng, depth - 1, symbols, allow_unbounded)
-    low = rng.randint(0, 3)
+    inner = random_expr(rng, depth - 1, symbols, allow_unbounded, max_count)
+    low = rng.randint(0, max_count - 1)
     if allow_unbounded and rng.random() < 0.25:
         return rep(inner, low, None)
-    return rep(inner, low, rng.randint(max(low, 1), min(low + 2, 4)))
+    return rep(inner, low, rng.randint(max(low, 1), min(low + 2, max_count)))
 
 
 def make_corpus(count, seed, symbols=SYMBOLS, depth=3, allow_unbounded=True):

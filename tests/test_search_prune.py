@@ -16,12 +16,13 @@ import random
 
 import pytest
 
+from conftest import random_expr
 from crekit import decision
 from crekit.decision import equivalent, includes
 from crekit.engine import automaton
 from crekit.errors import StateBudgetExceeded
 from crekit.partition import PartitionInstance, build_expressions
-from crekit.syntax import EPSILON, Symbol, alt, concat, parse_expr, rep
+from crekit.syntax import parse_expr
 from oracle import includes_reference
 
 
@@ -97,20 +98,6 @@ def test_wide_right_side_runs_once_unpruned(searches):
     assert searches == ["unpruned"]
 
 
-def _counted(rng, depth, symbols):
-    if depth == 0 or rng.random() < 0.3:
-        return EPSILON if rng.random() < 0.1 else Symbol(rng.choice(symbols))
-    kind = rng.choice(("concat", "alt", "rep"))
-    parts = [_counted(rng, depth - 1, symbols) for _ in range(rng.randint(2, 3))]
-    if kind == "concat":
-        return concat(parts)
-    if kind == "alt":
-        return alt(parts)
-    low = rng.randint(0, 16)
-    high = None if rng.random() < 0.2 else rng.randint(max(low, 1), 16)
-    return rep(parts[0], low, high)
-
-
 def test_witnesses_match_the_unpruned_search(searches):
     """Counted pairs too long for ``brute_language``, against the unpruned
     search: a departure search must find every smaller word of the pruned
@@ -120,7 +107,8 @@ def test_witnesses_match_the_unpruned_search(searches):
     wrong = []
     while count < 400:
         symbols = ("a", "b", "c")[: rng.choice((2, 3))]
-        left, right = _counted(rng, 3, symbols), _counted(rng, 3, symbols)
+        left = random_expr(rng, 3, symbols, max_count=16)
+        right = random_expr(rng, 3, symbols, max_count=16)
         a, b = (automaton(e, decision.DEFAULT_EXPANSION_CAP) for e in (left, right))
         if b.state_count > 64:
             continue
