@@ -16,16 +16,16 @@ automata", TCS 1993).
 ``glushkov`` never builds that tree.  It makes one pass over the counted
 tree, analyses each counted body once, lays its copies down by offset and
 adds only the links between copies.  Its size still grows with the counts,
-so it is guarded by the node cap of the expansion: exceeding the cap raises
-ExpansionCapExceeded up front (the required size is computed
-arithmetically before anything is built), never silently truncates.
+so it is guarded by the node cap of the expansion: one arithmetic fold,
+``_expansion_sizes``, counts the expansion's nodes and positions before
+anything is built, and too many nodes raise ExpansionCapExceeded up front.
 
 The same pass, ``position_pass``, is the one position analysis: read
 counter-blind, it serves the weak-unambiguity check.  A set of automaton
 states is an int, bit q for state q.  The automaton keeps one symbol per
 position and one follow mask per state, each shifted down to its lowest
 member, so its storage is O(n) bytes for a chain of n positions; a subset
-step is ``reach(S) & symbol_mask``.  When the automaton has more than 64
+step is ``reach(S) & symbol_mask``.  When the fold counts more than 64
 states, the pass also keeps the links it adds as data, ``Nfa.links``:
 rectangles, and strided families that stand for all copies of a body at
 once (Chang and Paige, "From regular expressions to DFA's using compressed
@@ -99,54 +99,39 @@ def node_count(e: Expr) -> int:
 # --- counter expansion -------------------------------------------------------
 
 
-def _unrolled_size(s: int, count: CountRange) -> int:
-    """Node count of _unroll(inner, count) before flattening; inner has s nodes."""
-    low, high = count.low, count.high
-    if high is None:
-        return 1 + s if low <= 1 else 1 + low * s + (1 + s)
-    if high == low:
-        return s if low == 1 else 1 + low * s
-    # the innermost optional level (E|%) has s+2 nodes, each outer one s+3
-    chain = (high - low) * (s + 3) - 1
-    return chain if low == 0 else 1 + low * s + chain
+def _expansion_sizes(order: list[Expr]) -> tuple[int, int]:
+    """(nodes, positions) of expand(e) before flattening, from postorder(e).
 
-
-def _expansion_size(order: list[Expr]) -> int:
-    """Node count of expand(e) before flattening, from postorder(e); pure arithmetic."""
-    sizes: list[int] = []
+    Pure arithmetic; the positions are those ``position_pass`` gives e.
+    """
+    done: list[tuple[int, int]] = []
     for x in order:
         t = type(x)
         if t is Rep:
-            sizes[-1] = _unrolled_size(sizes[-1], x.count)
+            (s, p), low, high = done[-1], x.count.low, x.count.high
+            if high is None:  # E{0,} and E{1,} stay; E{l,} is E^l E{0,}
+                c = low + 1
+                done[-1] = (1 + s, p) if low <= 1 else (2 + c * s, c * p)
+            elif high == low:  # E^low, in a Concat when low > 1
+                done[-1] = (s if low == 1 else 1 + low * s, low * p)
+            else:  # E^low, then a chain whose innermost (E|%) has s+2 nodes
+                chain = (high - low) * (s + 3) - 1  # and each outer level s+3
+                done[-1] = (chain if low == 0 else 1 + low * s + chain, high * p)
         elif t is Concat or t is Alt:
             k = len(x.parts) if t is Concat else len(x.branches)
-            sizes[-k:] = [1 + sum(sizes[-k:])]
+            nodes, positions = zip(*done[-k:])
+            done[-k:] = [(1 + sum(nodes), sum(positions))]
         else:
-            sizes.append(1)
-    return sizes[0]
+            done.append((1, 1 if t is Symbol else 0))
+    return done[0]
 
 
-def _positions(order: list[Expr]) -> int:
-    """Number of positions ``position_pass`` gives the tree; pure arithmetic."""
-    counts: list[int] = []
-    for x in order:
-        t = type(x)
-        if t is Rep:
-            low, high = x.count.low, x.count.high
-            counts[-1] *= high if high is not None else low + 1 if low >= 2 else 1
-        elif t is Concat or t is Alt:
-            k = len(x.parts) if t is Concat else len(x.branches)
-            counts[-k:] = [sum(counts[-k:])]
-        else:
-            counts.append(1 if t is Symbol else 0)
-    return counts[0]
-
-
-def _check_cap(order: list[Expr], cap: int) -> None:
-    """Raise ExpansionCapExceeded when the expansion of ``order`` exceeds ``cap``."""
-    required = _expansion_size(order)
-    if required > cap:
-        raise ExpansionCapExceeded(required, cap)
+def _check_cap(order: list[Expr], cap: int) -> int:
+    """The positions of the expansion of ``order``, if it has at most ``cap`` nodes."""
+    nodes, positions = _expansion_sizes(order)
+    if nodes > cap:
+        raise ExpansionCapExceeded(nodes, cap)
+    return positions
 
 
 def expand(e: Expr, cap: int = DEFAULT_EXPANSION_CAP) -> Expr:
@@ -375,7 +360,7 @@ def _copy_links(links: list[Link], base: int, m: int, copies: int) -> None:
 
 
 def position_pass(
-    order: list[Expr], counter_blind: bool
+    order: list[Expr], counter_blind: bool, record_links: bool = False
 ) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...], int, tuple[Link, ...]]:
     """The position automaton of the tree whose ``postorder`` is ``order``.
 
@@ -389,11 +374,11 @@ def position_pass(
     are followed by the first positions of the next copy and, when the body
     is nullable, of every later one.  With ``counter_blind`` each repetition
     keeps one copy of its body, and its last positions are followed by its
-    first ones whenever its upper bound allows a second round.  Otherwise an
-    automaton of more than 64 states also records its links (see ``Nfa``),
-    turning a copied body's into families over the copies.
+    first ones whenever its upper bound allows a second round.  With
+    ``record_links`` it also records its links (see ``Nfa``), turning a
+    copied body's into families over the copies.
     """
-    links = None if counter_blind or _positions(order) < 64 else []
+    links = [] if record_links else None
     symbols: list[str] = []
     offsets = [0]  # state 0 gets the first set at the end
     follow = [0]
@@ -495,11 +480,12 @@ def glushkov(e: Expr, cap: int = DEFAULT_EXPANSION_CAP) -> Nfa:
     The result equals ``glushkov(expand(e, cap))``: positions in the
     expansion's document order, the same follow masks and accepting set.
     Raises ExpansionCapExceeded exactly when ``expand(e, cap)`` would,
-    before anything is built.
+    before anything is built.  The positions counted with the nodes decide
+    whether the pass records ``Nfa.links``: for more than 64 states.
     """
     order = postorder(e)
-    _check_cap(order, cap)
-    return Nfa(*position_pass(order, counter_blind=False))
+    positions = _check_cap(order, cap)
+    return Nfa(*position_pass(order, False, record_links=positions >= 64))
 
 
 # The tree, cap and automaton of the last successful ``automaton`` build.

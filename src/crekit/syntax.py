@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ExprSyntaxError, InvalidCountError, int_digit_limit
 
@@ -211,19 +212,19 @@ def alphabet_of(e: Expr) -> tuple[str, ...]:
 
 # --- tokenizer -------------------------------------------------------------
 
+# whitespace matches no group, so one ``finditer`` scan steps over it
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<symbol>[A-Za-z][A-Za-z0-9]*)
+    (?P<symbol>[A-Za-z][A-Za-z0-9]*)
   | (?P<int>[0-9]+)
   | (?P<punct>[%(){},|?*+])
+  | (?P<bad>\S)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "symbol" | "int" | one of the punctuation characters | "eof"
     text: str
     pos: int
@@ -231,18 +232,11 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[i]!r}", i)
-        if m.lastgroup == "symbol":
-            tokens.append(_Token("symbol", m.group(), i))
-        elif m.lastgroup == "int":
-            tokens.append(_Token("int", m.group(), i))
-        elif m.lastgroup == "punct":
-            tokens.append(_Token(m.group(), m.group(), i))
-        i = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {lexeme!r}", m.start())
+        tokens.append(_Token(lexeme if kind == "punct" else kind, lexeme, m.start()))
     tokens.append(_Token("eof", "", len(text)))
     return tokens
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import expressions
 from crekit.decision import _step
-from crekit.engine import Nfa, _positions, bits, glushkov, position_pass
+from crekit.engine import Nfa, _expansion_sizes, bits, glushkov, position_pass
 from crekit.partition import PartitionInstance, build_expressions
 from crekit.syntax import Symbol, concat, parse_expr, postorder, rep
 
@@ -54,7 +54,7 @@ def _read_links(nfa) -> list[int]:
 
 def _check_links(e) -> None:
     nfa = glushkov(e, cap=10**6)
-    assert _positions(postorder(e)) == nfa.state_count - 1
+    assert _expansion_sizes(postorder(e))[1] == nfa.state_count - 1
     recorded = nfa.state_count > 64  # only where the search can use them
     assert bool(nfa.links) == recorded
     assert position_pass(postorder(e), counter_blind=True)[4] == ()
