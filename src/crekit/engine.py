@@ -485,7 +485,7 @@ def glushkov(e: Expr, cap: int = DEFAULT_EXPANSION_CAP) -> Nfa:
     """
     order = postorder(e)
     positions = _check_cap(order, cap)
-    return Nfa(*position_pass(order, False, record_links=positions >= 64))
+    return Nfa(*position_pass(order, counter_blind=False, record_links=positions >= 64))
 
 
 # The tree, cap and automaton of the last successful ``automaton`` build.
