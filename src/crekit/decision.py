@@ -11,15 +11,19 @@ AND.  Left states are never merged into subsets: determinizing the left
 side as well is exponential on expressions such as ``(a|b)* a (a|b){18}``.
 When the right side has at most 64 states, each inclusion layer drops the
 pairs whose key strictly contains the smallest kept key of the same left
-state (antichains, De Wulf et al., CAV 2006).  A goal met after a drop is
-spelled on the kept pairs, and one search seeded where a smaller word of
-that length would leave it checks the tie-break; only if one exists is the
-search run unpruned.  Each side steps its subsets with
-``_step``: up to 64 states, through a per-search Four-Russians table (Myers
-1992) of the follow union of each byte of a subset, as those bytes mostly
-repeat; above that, through the links of the automaton, a constant number
-of big-int operations per link for a whole subset (the bit-vector form of
-Le Glaunec, Kong and Mamouras, OOPSLA 2023).  The witness keeps ``Nfa.reach``.
+state (antichains, De Wulf et al., CAV 2006).  The states are those of
+``automaton``, where an alternation of distinct symbols is one class
+position: the reduction's right side for three weights summing to 24 has
+49 states, not 193, so it is pruned and stepped by the byte table below.
+A goal met after a drop is spelled on the kept pairs, and one search
+seeded where a smaller word of that length would leave it checks the
+tie-break; only if one exists is the search run unpruned.  Each side steps
+its subsets with ``_step``: up to 64 states, through a per-search
+Four-Russians table (Myers 1992) of the follow union of each byte of a
+subset, as those bytes mostly repeat; above that, through the links of
+the automaton, a constant number of big-int operations per link for a
+whole subset (the bit-vector form of Le Glaunec, Kong and Mamouras, OOPSLA
+2023).  The witness keeps ``Nfa.reach``.
 
 When a layer holds a goal pair the layer is finished, a backward pass over
 the stored layers keeps the pairs that lead to a goal, and a forward walk

@@ -22,23 +22,28 @@ anything is built, and too many nodes raise ExpansionCapExceeded up front.
 
 The same pass, ``position_pass``, is the one position analysis: read
 counter-blind, it serves the weak-unambiguity check.  A set of automaton
-states is an int, bit q for state q.  The automaton keeps one symbol per
+states is an int, bit q for state q.  The automaton keeps one label per
 position and one follow mask per state, each shifted down to its lowest
 member, so its storage is O(n) bytes for a chain of n positions; a subset
-step is ``reach(S) & symbol_mask``.  When the fold counts more than 64
-states, the pass also keeps the links it adds as data, ``Nfa.links``:
-rectangles, and strided families that stand for all copies of a body at
-once (Chang and Paige, "From regular expressions to DFA's using compressed
-NFA's", TCS 1997).  Every tree walk here runs on ``syntax.postorder``
-instead of recursion.
+step is ``reach(S) & symbol_mask``.  For queries the pass makes an
+alternation of distinct bare symbols, such as ``(a0|a1|...|ak)`` in the
+reduction's right side, one class position entered on each of them (the
+predicate-labelled state of symbolic automata: Veanes, de Halleux and
+Tillmann, "Rex", ICST 2010), so its subsets are k + 1 times narrower.
+When the fold counts more than 64 states, the pass also keeps the links it
+adds as data, ``Nfa.links``: rectangles, and strided families that stand
+for all copies of a body at once (Chang and Paige, "From regular
+expressions to DFA's using compressed NFA's", TCS 1997).  Every tree walk
+here runs on ``syntax.postorder`` instead of recursion.
 
-``automaton(e, cap)`` is the one place that calls ``glushkov``, and every
-query on a tree (``member``, ``language_iter``, ``includes``,
-``overlaps``, ``equivalent``) gets its automaton from there.  It remembers
-the last tree it built, by identity, so a run of queries on one tree builds
-once.  That automaton stays in memory until the next build: about 5 MB for
-``a{0,100000}`` built under cap 1,000,000.  The remembered build is one
-tuple, read and replaced whole, so threads may share it.
+``automaton(e, cap)`` is the one place that calls ``glushkov``, with class
+positions, and every query on a tree (``member``, ``language_iter``,
+``includes``, ``overlaps``, ``equivalent``) gets its automaton from there.
+It remembers the last tree it built, by identity, so a run of queries on
+one tree builds once.  That automaton stays in memory until the next
+build: about 5 MB for ``a{0,100000}`` built under cap 1,000,000.  The
+remembered build is one tuple, read and replaced whole, so threads may
+share it.
 
 Words are tuples of symbol names.  Their text form is space-separated
 lexemes, with the empty word written ``%``.
@@ -99,10 +104,17 @@ def node_count(e: Expr) -> int:
 # --- counter expansion -------------------------------------------------------
 
 
-def _expansion_sizes(order: list[Expr]) -> tuple[int, int]:
+def _is_class(x: Alt) -> bool:
+    """True iff the branches of ``x`` are bare symbols of pairwise distinct names."""
+    names = {b.name for b in x.branches if type(b) is Symbol}
+    return len(names) == len(x.branches) > 1
+
+
+def _expansion_sizes(order: list[Expr], classes: bool = False) -> tuple[int, int]:
     """(nodes, positions) of expand(e) before flattening, from postorder(e).
 
-    Pure arithmetic; the positions are those ``position_pass`` gives e.
+    Pure arithmetic; the positions are those ``position_pass`` gives e under
+    the same ``classes``, which leaves the nodes unchanged.
     """
     done: list[tuple[int, int]] = []
     for x in order:
@@ -119,16 +131,17 @@ def _expansion_sizes(order: list[Expr]) -> tuple[int, int]:
                 done[-1] = (chain if low == 0 else 1 + low * s + chain, high * p)
         elif t is Concat or t is Alt:
             k = len(x.parts) if t is Concat else len(x.branches)
+            merge = classes and t is Alt and done[-1] == (1, 1) and _is_class(x)
             nodes, positions = zip(*done[-k:])
-            done[-k:] = [(1 + sum(nodes), sum(positions))]
+            done[-k:] = [(1 + sum(nodes), 1 if merge else sum(positions))]
         else:
             done.append((1, 1 if t is Symbol else 0))
     return done[0]
 
 
-def _check_cap(order: list[Expr], cap: int) -> int:
+def _check_cap(order: list[Expr], cap: int, classes: bool = False) -> int:
     """The positions of the expansion of ``order``, if it has at most ``cap`` nodes."""
-    nodes, positions = _expansion_sizes(order)
+    nodes, positions = _expansion_sizes(order, classes)
     if nodes > cap:
         raise ExpansionCapExceeded(nodes, cap)
     return positions
@@ -213,6 +226,7 @@ def _mask(members) -> int:
 
 
 Link = tuple[int, int, int, int]  # origin, width, sources, targets: see Nfa
+Label = str | tuple[str, ...]  # the symbol, or symbols, a position is entered on
 
 
 @dataclass(frozen=True)
@@ -221,7 +235,8 @@ class Nfa:
 
     State 0 is initial and states 1..n are the positions; a set of states is
     an int with bit q set for state q.  ``symbols[q-1]`` is the symbol read
-    on entering position q.  The follow set of state q is
+    on entering position q, or a tuple of distinct symbols for a class
+    position, which is entered on each of them.  The follow set of state q is
     ``follow[q] << offsets[q]``: each mask is stored shifted down to its
     lowest member, so a follow set costs bytes in proportion to its span,
     not to q, and a chain such as ``a{0,u}`` stores O(u) bits in all.  A
@@ -240,7 +255,7 @@ class Nfa:
     by one multiply.  Read state by state, the links give the follow sets.
     """
 
-    symbols: tuple[str, ...]
+    symbols: tuple[Label, ...]
     offsets: tuple[int, ...]
     follow: tuple[int, ...]
     accepting: int
@@ -265,10 +280,14 @@ class Nfa:
                 raise ValueError("link out of range")
             if w and (targets >> low).bit_length() > w:
                 raise ValueError("link targets span its width")
-        entered: dict[str, list[int]] = {}
-        for q, sym in enumerate(self.symbols, 1):
-            entered.setdefault(sym, []).append(q)
-        masks = {sym: _mask(qs) for sym, qs in entered.items()}
+        entered: dict[Label, list[int]] = {}
+        for q, label in enumerate(self.symbols, 1):
+            entered.setdefault(label, []).append(q)
+        masks: dict[str, int] = {}
+        for label, qs in entered.items():
+            mask = _mask(qs)
+            for sym in (label,) if type(label) is str else label:
+                masks[sym] = masks.get(sym, 0) | mask
         object.__setattr__(self, "symbol_masks", masks)
 
     @property
@@ -360,8 +379,11 @@ def _copy_links(links: list[Link], base: int, m: int, copies: int) -> None:
 
 
 def position_pass(
-    order: list[Expr], counter_blind: bool, record_links: bool = False
-) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...], int, tuple[Link, ...]]:
+    order: list[Expr],
+    counter_blind: bool,
+    record_links: bool = False,
+    classes: bool = False,
+) -> tuple[tuple[Label, ...], tuple[int, ...], tuple[int, ...], int, tuple[Link, ...]]:
     """The position automaton of the tree whose ``postorder`` is ``order``.
 
     Returns the fields of its ``Nfa``: ``(symbols, offsets, follow,
@@ -376,10 +398,14 @@ def position_pass(
     keeps one copy of its body, and its last positions are followed by its
     first ones whenever its upper bound allows a second round.  With
     ``record_links`` it also records its links (see ``Nfa``), turning a
-    copied body's into families over the copies.
+    copied body's into families over the copies.  With ``classes`` an
+    ``Alt`` of bare symbols with distinct names is one position labelled by
+    the tuple of their names.  The positions it stands for have one follow
+    set and lie in the same first, last and follow sets, so the automaton
+    is an exact quotient of the unmerged one.
     """
     links = [] if record_links else None
-    symbols: list[str] = []
+    symbols: list[Label] = []
     offsets = [0]  # state 0 gets the first set at the end
     follow = [0]
     # (positions, nullable, first, last) per finished subtree; bit i of a
@@ -396,6 +422,11 @@ def position_pass(
             done.append((0, True, 0, 0))
         elif t is Alt:
             k = len(x.branches)
+            if classes and done[-1] == (1, False, 1, 1) and _is_class(x):
+                # one position entered on each symbol: they share one follow set
+                symbols[-k:] = [tuple([b.name for b in x.branches])]
+                del offsets[1 - k :], follow[1 - k :], done[1 - k :]
+                continue
             size, nullable, first, last = 0, False, 0, 0
             for m, n, f, l in done[-k:]:
                 nullable = nullable or n
@@ -474,7 +505,9 @@ def position_pass(
     return *fields, tuple(links or ())
 
 
-def glushkov(e: Expr, cap: int = DEFAULT_EXPANSION_CAP) -> Nfa:
+def glushkov(
+    e: Expr, cap: int = DEFAULT_EXPANSION_CAP, *, classes: bool = False
+) -> Nfa:
     """Position automaton of ``e`` under counter expansion, built without it.
 
     The result equals ``glushkov(expand(e, cap))``: positions in the
@@ -482,10 +515,17 @@ def glushkov(e: Expr, cap: int = DEFAULT_EXPANSION_CAP) -> Nfa:
     Raises ExpansionCapExceeded exactly when ``expand(e, cap)`` would,
     before anything is built.  The positions counted with the nodes decide
     whether the pass records ``Nfa.links``: for more than 64 states.
+
+    With ``classes`` each alternation of distinct bare symbols is one
+    position (see ``position_pass``); the cap still counts the nodes of
+    the expansion, and splitting each class position into one position per
+    symbol gives the default build.  The default keeps one position per
+    symbol occurrence, because callers read its position numbers back.
     """
     order = postorder(e)
-    positions = _check_cap(order, cap)
-    return Nfa(*position_pass(order, counter_blind=False, record_links=positions >= 64))
+    positions = _check_cap(order, cap, classes)
+    fields = position_pass(order, False, record_links=positions >= 64, classes=classes)
+    return Nfa(*fields)
 
 
 # The tree, cap and automaton of the last successful ``automaton`` build.
@@ -493,7 +533,7 @@ _last: tuple[Expr, int, Nfa] | None = None
 
 
 def automaton(e: Expr, cap: int = DEFAULT_EXPANSION_CAP) -> Nfa:
-    """``glushkov(e, cap)``, remembered for the last tree built.
+    """``glushkov(e, cap, classes=True)``, remembered for the last tree built.
 
     This is the one place that builds automata for queries.  The last tree built is
     remembered, so the queries that follow on the same tree share one
@@ -508,7 +548,7 @@ def automaton(e: Expr, cap: int = DEFAULT_EXPANSION_CAP) -> Nfa:
     if last is not None and last[0] is e and cap >= last[1]:
         return last[2]
     _last = None  # let the old automaton go before building the next one
-    nfa = glushkov(e, cap)
+    nfa = glushkov(e, cap, classes=True)
     _last = (e, cap, nfa)
     return nfa
 

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import DEEP, nested_groups, rendered_groups
 from crekit.cli import main
+from crekit.partition import PartitionInstance, brute_force_partition
 
 
 def run_cli(capsys, *argv):
@@ -264,6 +265,21 @@ class TestReductionCommands:
         path.write_text("1 1\n")
         code, out, _ = run_cli(capsys, "partition", str(path))
         assert code == 0 and out.strip() == "yes"
+
+    @pytest.mark.parametrize("weights", [(20,) * 30, (10,) * 29 + (310,)])
+    def test_partition_at_n_300(self, capsys, tmp_path, weights):
+        path = tmp_path / "w.txt"
+        path.write_text(" ".join(map(str, weights)) + "\n")
+        code, out, _ = run_cli(capsys, "partition", str(path), "--cap", "1000000")
+        exists, _ = brute_force_partition(PartitionInstance(weights))
+        assert (code, out.strip()) == ((0, "yes") if exists else (1, "no"))
+
+    def test_partition_at_n_1000(self, tmp_path):
+        # 4,001 class states on the right; its 404,001 plain states ran out of memory
+        path = tmp_path / "w.txt"
+        path.write_text("20 " * 100 + "\n")
+        code, out, err = run_guarded("partition", str(path), "--cap", "10000000")
+        assert (code, out, err) == (0, "yes\n", "")
 
     def test_partition_odd_is_plain_no(self, capsys, tmp_path):
         path = tmp_path / "w.txt"

@@ -61,7 +61,9 @@ def test_departure_search_falls_back_to_the_unpruned_search(searches):
     right = parse_expr("a{5,}")
     syms = decision.union_alphabet(left, right)
     a, b = (automaton(e, decision.DEFAULT_EXPANSION_CAP) for e in (left, right))
-    assert decision._search(a, b, syms, False, 1_000, True) == (("a", "b"), True)
+    # the pruned word loses the tie-break to "a a", so the departure search
+    # meets a goal and the unpruned search spells the witness
+    assert decision._search(a, b, syms, False, 1_000, True) == (("b", "a"), True)
     searches.clear()
     want = includes_reference(left, right, 2)
     got = includes(left, right)

@@ -98,10 +98,10 @@ def test_search_leaves_the_remembered_automaton_untouched():
         query(e, e)
     assert crekit.automaton(e) is nfa
     assert set(vars(nfa)) == fields
-    assert nfa == glushkov(e)
+    assert nfa == glushkov(e, classes=True)
     left, right = _family(5)[:2]
     for query in (includes, overlaps, equivalent):
         query(left, right)
     remembered = crekit.automaton(right)  # the last tree ``equivalent`` built
-    assert set(vars(remembered)) == set(vars(glushkov(right)))
-    assert remembered == glushkov(right)
+    assert set(vars(remembered)) == set(vars(glushkov(right, classes=True)))
+    assert remembered == glushkov(right, classes=True)
