@@ -30,10 +30,10 @@ alternation of distinct bare symbols, such as ``(a0|a1|...|ak)`` in the
 reduction's right side, one class position entered on each of them (the
 predicate-labelled state of symbolic automata: Veanes, de Halleux and
 Tillmann, "Rex", ICST 2010), so its subsets are k + 1 times narrower.
-When the fold counts more than 64 states, the pass also keeps the links it
-adds as data, ``Nfa.links``: rectangles, and strided families that stand
-for all copies of a body at once (Chang and Paige, "From regular
-expressions to DFA's using compressed NFA's", TCS 1997).  Every tree walk
+An automaton of more than 64 states also keeps the links the pass adds as
+data, ``Nfa.links``: rectangles, and strided families that stand for all
+copies of a body at once (Chang and Paige, "From regular expressions to
+DFA's using compressed NFA's", TCS 1997).  Every tree walk
 here runs on ``syntax.postorder`` instead of recursion.
 
 ``automaton(e, cap)`` is the one place that calls ``glushkov``, with class
@@ -104,17 +104,10 @@ def node_count(e: Expr) -> int:
 # --- counter expansion -------------------------------------------------------
 
 
-def _is_class(x: Alt) -> bool:
-    """True iff the branches of ``x`` are bare symbols of pairwise distinct names."""
-    names = {b.name for b in x.branches if type(b) is Symbol}
-    return len(names) == len(x.branches) > 1
-
-
-def _expansion_sizes(order: list[Expr], classes: bool = False) -> tuple[int, int]:
+def _expansion_sizes(order: list[Expr]) -> tuple[int, int]:
     """(nodes, positions) of expand(e) before flattening, from postorder(e).
 
-    Pure arithmetic; the positions are those ``position_pass`` gives e under
-    the same ``classes``, which leaves the nodes unchanged.
+    Pure arithmetic; the positions are those ``position_pass`` gives e.
     """
     done: list[tuple[int, int]] = []
     for x in order:
@@ -131,17 +124,16 @@ def _expansion_sizes(order: list[Expr], classes: bool = False) -> tuple[int, int
                 done[-1] = (chain if low == 0 else 1 + low * s + chain, high * p)
         elif t is Concat or t is Alt:
             k = len(x.parts) if t is Concat else len(x.branches)
-            merge = classes and t is Alt and done[-1] == (1, 1) and _is_class(x)
             nodes, positions = zip(*done[-k:])
-            done[-k:] = [(1 + sum(nodes), 1 if merge else sum(positions))]
+            done[-k:] = [(1 + sum(nodes), sum(positions))]
         else:
             done.append((1, 1 if t is Symbol else 0))
     return done[0]
 
 
-def _check_cap(order: list[Expr], cap: int, classes: bool = False) -> int:
+def _check_cap(order: list[Expr], cap: int) -> int:
     """The positions of the expansion of ``order``, if it has at most ``cap`` nodes."""
-    nodes, positions = _expansion_sizes(order, classes)
+    nodes, positions = _expansion_sizes(order)
     if nodes > cap:
         raise ExpansionCapExceeded(nodes, cap)
     return positions
@@ -236,8 +228,8 @@ class Nfa:
     State 0 is initial and states 1..n are the positions; a set of states is
     an int with bit q set for state q.  ``symbols[q-1]`` is the symbol read
     on entering position q, or a tuple of distinct symbols for a class
-    position, which is entered on each of them.  The follow set of state q is
-    ``follow[q] << offsets[q]``: each mask is stored shifted down to its
+    position, which is entered on each of them.  The follow set of state q
+    is ``follow[q] << offsets[q]``: each mask is stored shifted down to its
     lowest member, so a follow set costs bytes in proportion to its span,
     not to q, and a chain such as ``a{0,u}`` stores O(u) bits in all.  A
     step is ``reach(S) & symbol_masks[sym]``, where ``reach(S)`` is the union
@@ -283,10 +275,10 @@ class Nfa:
         entered: dict[Label, list[int]] = {}
         for q, label in enumerate(self.symbols, 1):
             entered.setdefault(label, []).append(q)
-        masks: dict[str, int] = {}
-        for label, qs in entered.items():
-            mask = _mask(qs)
-            for sym in (label,) if type(label) is str else label:
+        masks = {label: _mask(qs) for label, qs in entered.items()}
+        for label in [label for label in masks if type(label) is tuple]:
+            mask = masks.pop(label)
+            for sym in label:
                 masks[sym] = masks.get(sym, 0) | mask
         object.__setattr__(self, "symbol_masks", masks)
 
@@ -378,6 +370,12 @@ def _copy_links(links: list[Link], base: int, m: int, copies: int) -> None:
             links.extend([(o + j * m, w, sources, targets) for j in range(copies)])
 
 
+def _is_class(x: Alt) -> bool:
+    """True iff the branches of ``x`` are bare symbols of pairwise distinct names."""
+    names = {b.name for b in x.branches if type(b) is Symbol}
+    return len(names) == len(x.branches) > 1
+
+
 def position_pass(
     order: list[Expr],
     counter_blind: bool,
@@ -424,7 +422,7 @@ def position_pass(
             k = len(x.branches)
             if classes and done[-1] == (1, False, 1, 1) and _is_class(x):
                 # one position entered on each symbol: they share one follow set
-                symbols[-k:] = [tuple([b.name for b in x.branches])]
+                symbols[-k:] = [tuple(symbols[-k:])]
                 del offsets[1 - k :], follow[1 - k :], done[1 - k :]
                 continue
             size, nullable, first, last = 0, False, 0, 0
@@ -514,18 +512,21 @@ def glushkov(
     expansion's document order, the same follow masks and accepting set.
     Raises ExpansionCapExceeded exactly when ``expand(e, cap)`` would,
     before anything is built.  The positions counted with the nodes decide
-    whether the pass records ``Nfa.links``: for more than 64 states.
+    whether the pass records links, and the automaton keeps them,
+    ``Nfa.links``, when it has more than 64 states.
 
     With ``classes`` each alternation of distinct bare symbols is one
-    position (see ``position_pass``); the cap still counts the nodes of
-    the expansion, and splitting each class position into one position per
-    symbol gives the default build.  The default keeps one position per
-    symbol occurrence, because callers read its position numbers back.
+    position (see ``position_pass``), so the automaton may have fewer
+    states than the expansion has positions, and then keeps no links; the
+    cap still counts the nodes of the expansion.  Splitting each class
+    position into one position per symbol gives the default build, which
+    keeps one position per symbol occurrence, because callers read its
+    position numbers back.
     """
     order = postorder(e)
-    positions = _check_cap(order, cap, classes)
-    fields = position_pass(order, False, record_links=positions >= 64, classes=classes)
-    return Nfa(*fields)
+    positions = _check_cap(order, cap)
+    *fields, links = position_pass(order, False, positions >= 64, classes)
+    return Nfa(*fields, links if len(fields[0]) >= 64 else ())
 
 
 # The tree, cap and automaton of the last successful ``automaton`` build.

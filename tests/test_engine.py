@@ -249,40 +249,34 @@ class TestCountedGlushkov:
 
 PARTITION_50 = build_expressions(PartitionInstance((20,) * 50))
 
-# tree -> (nodes of its expansion before flattening, positions, positions
-# when an alternation of distinct symbols is one position)
+# tree -> (nodes of its expansion before flattening, positions)
 EXPANSION_SIZES = [
-    pytest.param(parse_expr("a{0,30000}"), 119_999, 30_000, 30_000, id="a{0,30000}"),
-    pytest.param(parse_expr("(a{9,9}){9,9}"), 91, 81, 81, id="(a{9,9}){9,9}"),
-    pytest.param(
-        parse_expr("((a|b){1,100}){1,100}"), 59_997, 20_000, 10_000, id="nested"
-    ),
-    pytest.param(parse_expr("(a|%){0,16000}"), 95_999, 16_000, 16_000, id="nullable"),
-    pytest.param(parse_expr("a{3,}"), 6, 4, 4, id="a{3,}"),
-    pytest.param(parse_expr("(a b){2,}"), 11, 6, 6, id="(a b){2,}"),
-    pytest.param(PARTITION_50[0], 1_653, 1_501, 1_501, id="E1-(20,)*50"),
-    pytest.param(PARTITION_50[1], 106_997, 102_000, 2_000, id="E2-(20,)*50"),
+    pytest.param(parse_expr("a{0,30000}"), 119_999, 30_000, id="a{0,30000}"),
+    pytest.param(parse_expr("(a{9,9}){9,9}"), 91, 81, id="(a{9,9}){9,9}"),
+    pytest.param(parse_expr("((a|b){1,100}){1,100}"), 59_997, 20_000, id="nested"),
+    pytest.param(parse_expr("(a|%){0,16000}"), 95_999, 16_000, id="nullable"),
+    pytest.param(parse_expr("a{3,}"), 6, 4, id="a{3,}"),
+    pytest.param(parse_expr("(a b){2,}"), 11, 6, id="(a b){2,}"),
+    pytest.param(PARTITION_50[0], 1_653, 1_501, id="E1-(20,)*50"),
+    pytest.param(PARTITION_50[1], 106_997, 102_000, id="E2-(20,)*50"),
 ]
 
 
 class TestExpansionSizes:
     """One arithmetic fold sizes the expansion that ``glushkov`` never builds."""
 
-    @pytest.mark.parametrize("e,nodes,positions,classes", EXPANSION_SIZES)
-    def test_golden_sizes(self, e, nodes, positions, classes):
+    @pytest.mark.parametrize("e,nodes,positions", EXPANSION_SIZES)
+    def test_golden_sizes(self, e, nodes, positions):
         assert _expansion_sizes(postorder(e)) == (nodes, positions)
-        assert _expansion_sizes(postorder(e), classes=True) == (nodes, classes)
-        for merge in (False, True):
-            with pytest.raises(ExpansionCapExceeded) as info:
-                glushkov(e, cap=nodes - 1, classes=merge)
-            assert info.value.required == nodes
+        with pytest.raises(ExpansionCapExceeded) as info:
+            glushkov(e, cap=nodes - 1)
+        assert info.value.required == nodes
 
     @given(st.one_of(expressions(), sugar_expressions()))
     @settings(max_examples=300, deadline=None)
     def test_positions_are_the_states_but_the_initial_one(self, e):
-        for merge in (False, True):
-            positions = _expansion_sizes(postorder(e), merge)[1]
-            assert positions == glushkov(e, 10**6, classes=merge).state_count - 1
+        positions = _expansion_sizes(postorder(e))[1]
+        assert positions == glushkov(e, cap=10**6).state_count - 1
 
 
 class TestMember:
