@@ -34,6 +34,14 @@ union-alphabet order.  Every discovered pair is charged against an
 explicit budget: inclusion of counted expressions is NP-hard even for
 unambiguous ones, and a blowup must fail loudly rather than hang.
 
+An inclusion whose right side fixes only lengths runs no search: when
+every position of ``automaton(right)`` is entered on every symbol of the
+union alphabet, as in the reduction's ``((a0|...|ak){n+1,2n}){1,2}``, and
+``left`` has no unbounded repetition, the witness is the smallest word of
+L(left) (``_spell``) of the least length in Len(left) - Len(right), both
+folded on int bitsets by ``engine.length_bits``.  The right side is never
+built, so the cap does not bound it and the budget is not charged.
+
 A symbol occurring in only one of the two expressions still counts as a
 shared alphabet symbol; the other side simply accepts no word containing
 it.
@@ -44,9 +52,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .engine import DEFAULT_EXPANSION_CAP, Nfa, Word, automaton, bits
+from .engine import (
+    DEFAULT_EXPANSION_CAP,
+    Nfa,
+    Word,
+    _check_cap,
+    _is_class,
+    _mask,
+    automaton,
+    bits,
+    length_bits,
+)
 from .errors import StateBudgetExceeded
-from .syntax import Expr, alphabet_of
+from .syntax import Alt, Expr, Rep, Symbol, alphabet_of, postorder
 
 DEFAULT_STATE_BUDGET = 1_000_000
 
@@ -380,6 +398,58 @@ def _inclusion(a: Nfa, b: Nfa, syms: tuple[str, ...], state_budget: int) -> Word
     return _search(a, b, syms, False, state_budget)[0]
 
 
+def _fixes_only_lengths(order: list[Expr], syms: tuple[str, ...]) -> bool:
+    """True iff each position of the automaton of ``order`` is entered on
+    every symbol of ``syms``: it is a class of exactly those names, or syms
+    has at most one symbol."""
+    names = set(syms)
+    classes = [x.branches for x in order if type(x) is Alt and _is_class(x)]
+    covered = sum([len(b) for b in classes if {s.name for s in b} == names])
+    return len(names) <= 1 or covered == sum([type(x) is Symbol for x in order])
+
+
+def _spell(a: Nfa, syms: tuple[str, ...], length: int) -> Word:
+    """The smallest word of L(a) of ``length`` in ``syms`` order; one must exist.
+
+    A forward pass stores the states words of each length reach, as
+    ``(low, states >> low)``; a backward pass keeps those that reach
+    acceptance in the remaining steps; the walk takes at each step the
+    smallest symbol that enters a kept state.
+    """
+    if not length:
+        return ()
+    step, follow, offsets = _step(a), a.follow, a.offsets
+    layers, states = [], 1
+    for _ in range(length):
+        states = step(states)
+        low = (states & -states).bit_length() - 1
+        layers.append((low, states >> low))
+    low, states = layers[-1]
+    layers[-1] = (low, states & a.accepting >> low)
+    for i in range(length - 2, -1, -1):
+        after_low, after = layers[i + 1]
+        low, states = layers[i]
+        kept = []
+        for r in bits(states):
+            shift = offsets[low + r] - after_low
+            mask = follow[low + r]
+            if (mask << shift if shift >= 0 else mask >> -shift) & after:
+                kept.append(r)
+        layers[i] = (low, _mask(kept))
+    rank = {sym: i for i, sym in enumerate(syms)}
+
+    def smallest(label):  # the smallest symbol a position is entered on
+        return min(label, key=rank.get) if type(label) is tuple else label
+
+    word, states = [], 1
+    for low, kept in layers:
+        reach = step(states) & kept << low
+        sym = min([smallest(a.symbols[q - 1]) for q in bits(reach)], key=rank.get)
+        word.append(sym)
+        states = reach & a.symbol_masks[sym]
+    return tuple(word)
+
+
 def includes(
     left: Expr,
     right: Expr,
@@ -390,16 +460,32 @@ def includes(
     """Decide L(left) <= L(right) over the union alphabet.
 
     On failure the witness is the shortest word of L(left) - L(right),
-    lexicographic ties broken by union-alphabet order.  Every discovered
-    product state is charged against ``state_budget``; on a failing query
-    the layer holding the first counterexample is finished before the
-    witness is chosen, so the budget can run out up to one layer earlier
-    than a search that stops at the first counterexample it meets.
+    lexicographic ties broken by union-alphabet order.  A right side that
+    fixes only lengths, with a left side of no unbounded repetition, is
+    decided on length bitsets (see above): it is never built, so ``cap``
+    does not bound it, and no pair is charged to ``state_budget``.
+    Otherwise every discovered product state is charged against
+    ``state_budget``; on a failing query the layer holding the first
+    counterexample is finished before the witness is chosen, so the budget
+    can run out up to one layer earlier than a search that stops at the
+    first counterexample it meets.
     """
-    syms = union_alphabet(left, right)
-    a = automaton(left, cap)
-    b = automaton(right, cap)
-    witness = _inclusion(a, b, syms, state_budget)
+    left_order, right_order = postorder(left), postorder(right)
+    names = [x.name for x in left_order + right_order if type(x) is Symbol]
+    syms = tuple(dict.fromkeys(names))
+    bounded = not any(type(x) is Rep and x.count.high is None for x in left_order)
+    if bounded and _fixes_only_lengths(right_order, syms):
+        # the left cap check bounds the bitsets: no word is longer than
+        # the left side's positions
+        lengths = length_bits(left_order, _check_cap(left_order, cap))[0]
+        missing = lengths & ~length_bits(right_order, lengths.bit_length() - 1)[0]
+        if not missing:
+            return InclusionVerdict(holds=True)
+        shortest = (missing & -missing).bit_length() - 1
+        witness = _spell(automaton(left, cap), syms, shortest)
+    else:
+        a, b = automaton(left, cap), automaton(right, cap)
+        witness = _inclusion(a, b, syms, state_budget)
     return InclusionVerdict(holds=witness is None, witness=witness)
 
 

@@ -3,8 +3,13 @@
 The semantic pipeline is: build the epsilon-free position automaton of the
 counted tree (``glushkov``), then decide membership by subset simulation
 or enumerate words breadth-first.  ``length_set`` computes the set of word
-lengths directly on the tree, which avoids the unary blowup and gives an
-independent cross-check of the automaton path.
+lengths directly on the tree, as an int bitset (``length_bits``): a
+concatenation is a sumset spread run by run, and a counter is a power
+taken by square-and-multiply, so no count is unrolled.  ``includes``
+decides on the same fold when its right side fixes only lengths, so the
+fold is on the decision path, and its cross-checks are the enumerated
+languages of ``tests/oracle.py`` and the set-based fold of
+``tests/position_oracle.py``.
 
 The automaton equals that of the counter-free expansion ``expand``, where
 ``E{l,u}`` unrolls into l copies of E followed by the nested optional chain
@@ -638,71 +643,92 @@ class LengthSet:
     saturated: bool
 
 
-def _trunc_sumset(a: set[int], b: set[int], cutoff: int) -> tuple[set[int], bool]:
-    out: set[int] = set()
-    dropped = False
-    for x in a:
-        for y in b:
-            if x + y <= cutoff:
-                out.add(x + y)
-            else:
-                dropped = True
-    return out, dropped
+def _sumset(a: int, b: int, full: int) -> int:
+    """The sums of lengths in ``a`` and ``b``, bitsets with bit i for length
+    i, truncated by ``full``.  Each run of the operand with fewer runs
+    spreads the other over its width in O(log width) shifts."""
+    if not a & (a - 1):  # no length, or one: a shift
+        return b << a.bit_length() - 1 & full if a else 0
+    if not b & (b - 1):
+        return a << b.bit_length() - 1 & full if b else 0
+    starts_a, starts_b = a & ~(a << 1), b & ~(b << 1)
+    if starts_a.bit_count() > starts_b.bit_count():
+        a, b, starts_a = b, a, starts_b
+    out = 0
+    for lo, hi in zip(bits(starts_a), bits(a & ~(a >> 1))):
+        spread, width = b, 1  # b shifted by 0 .. width - 1
+        while width <= hi - lo:
+            shift = min(width, hi - lo + 1 - width)
+            spread |= spread << shift
+            width += shift
+        out |= spread << lo
+    return out & full
 
 
-def _rep_lengths(
-    s: set[int], low: int, high: int | None, cutoff: int
-) -> tuple[set[int], bool]:
-    dropped = False
-    fold: set[int] = {0}  # lengths using exactly i copies, i advancing below
-    for _ in range(low):
-        fold, d = _trunc_sumset(fold, s, cutoff)
-        dropped = dropped or d
-        if not fold:
-            break
-    result = set(fold)
-    copies = low
-    while fold and (high is None or copies < high):
-        fold, d = _trunc_sumset(fold, s, cutoff)
-        dropped = dropped or d
-        copies += 1
-        new = fold - result
-        if not new:
-            # every later level stays inside result, with no further drops
-            break
-        result |= new
-    return result, dropped
+def _power(s: int, k: int, full: int, out: int = 1) -> int:
+    """``out`` plus k copies of ``s``, summed by square-and-multiply.  A
+    square equal to its base is a fixed point, s^j = s for every j >= 1, so
+    a huge k costs no more squarings than the cutoff's bit length."""
+    while k:
+        if k & 1:
+            out = _sumset(out, s, full)
+        k >>= 1
+        if not k:
+            return out
+        square = _sumset(s, s, full)
+        if square == s:
+            return _sumset(out, s, full)
+        s = square
+    return out
+
+
+def length_bits(order: list[Expr], cutoff: int) -> tuple[int, int]:
+    """The word lengths up to ``cutoff`` of the tree whose ``postorder`` is
+    ``order``, as a bitset with bit i for length i, and a bound that exceeds
+    ``cutoff`` exactly when a word does: the longest word's length, clipped
+    to ``cutoff + 1`` at each repetition.
+
+    A concatenation is a sumset, and ``E{l,u}`` is ``s^l (1|s)^(u-l)``
+    for the lengths s of E; ``E{l,}`` takes u - l = cutoff, as no sum
+    of more than ``cutoff`` nonzero lengths stays within it.
+    """
+    full, over = (1 << cutoff + 1) - 1, cutoff + 1
+    one = 2 & full
+    done: list[tuple[int, int]] = []  # (lengths, longest) per subtree
+    for x in order:
+        t = type(x)
+        if t is Symbol:
+            done.append((one, 1))
+        elif t is Epsilon:
+            done.append((1, 0))
+        elif t is Alt:
+            k = len(x.branches)
+            lengths = longest = 0
+            for s, m in done[-k:]:
+                lengths |= s
+                if m > longest:
+                    longest = m
+            done[-k:] = [(lengths, longest)]
+        elif t is Concat:
+            k = len(x.parts)
+            lengths, longest = done[-k]
+            for s, m in done[1 - k :]:
+                lengths = _sumset(lengths, s, full)
+                longest += m
+            done[-k:] = [(lengths, longest)]
+        else:
+            s, m = done[-1]
+            low, high = x.count.low, x.count.high
+            extra = cutoff if high is None else high - low
+            lengths = _power(s | 1, extra, full, _power(s, low, full))
+            longest = min(m * (over if high is None else high), over)
+            done[-1] = (lengths, longest)
+    return done[0]
 
 
 def length_set(e: Expr, cutoff: int) -> LengthSet:
     """Lengths of words of L(e) up to ``cutoff``, computed structurally."""
     if cutoff < 1:
         raise ValueError("cutoff must be positive")
-    done: list[tuple[set[int], bool]] = []  # (lengths, saturated) per subtree
-    for x in postorder(e):
-        t = type(x)
-        if t is Symbol:
-            done.append(({1}, False))
-        elif t is Epsilon:
-            done.append(({0}, False))
-        elif t is Alt:
-            k = len(x.branches)
-            members: set[int] = set()
-            saturated = False
-            for m, sat in done[-k:]:
-                members |= m
-                saturated = saturated or sat
-            done[-k:] = [(members, saturated)]
-        elif t is Concat:
-            k = len(x.parts)
-            members, saturated = {0}, False
-            for m, sat in done[-k:]:
-                members, dropped = _trunc_sumset(members, m, cutoff)
-                saturated = saturated or sat or dropped
-            done[-k:] = [(members, saturated)]
-        else:
-            m, sat = done[-1]
-            members, dropped = _rep_lengths(m, x.count.low, x.count.high, cutoff)
-            done[-1] = (members, sat or dropped)
-    members, saturated = done[0]
-    return LengthSet(frozenset(members), saturated)
+    lengths, longest = length_bits(postorder(e), cutoff)
+    return LengthSet(frozenset(bits(lengths)), longest > cutoff)

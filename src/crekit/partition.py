@@ -11,6 +11,9 @@ of the weights, so E1 has a word of length 2n+1 exactly when some subset
 sums to n.  E2 accepts precisely the words whose length lies in [n+1,4n]
 but is not 2n+1.  Hence the inclusion L(E1) <= L(E2) fails exactly when an
 equal-weight split exists, and a single inclusion query decides PARTITION.
+E2 fixes only lengths, so ``includes`` decides that query on the length
+bitsets of E1 and E2 and builds only the automaton of E1, to spell the
+witness: E2 is never built, and the cap bounds E1 alone.
 
 ``verify_theorem_instance`` checks this equivalence (and the length and
 unambiguity facts it rests on) against an independent subset-sum solver.

@@ -60,28 +60,28 @@ def corpus():
 
 
 @st.composite
-def count_ranges(draw):
+def count_ranges(draw, unbounded=True):
     low = draw(st.integers(0, 3))
-    if draw(st.booleans()):
+    if unbounded and draw(st.booleans()):
         return CountRange(low, None)
     return CountRange(low, draw(st.integers(max(low, 1), 4)))
 
 
-def _extend(children):
+def _extend(children, unbounded=True):
     concats = st.lists(children, min_size=2, max_size=3).map(concat)
     alts = st.lists(children, min_size=2, max_size=3).map(alt)
-    reps = st.tuples(children, count_ranges()).map(
+    reps = st.tuples(children, count_ranges(unbounded)).map(
         lambda t: rep(t[0], t[1].low, t[1].high)
     )
     return st.one_of(concats, alts, reps)
 
 
-def expressions(symbols=SYMBOLS):
+def expressions(symbols=SYMBOLS, unbounded=True):
     base = st.one_of(
         st.sampled_from(symbols).map(Symbol),
         st.just(EPSILON),
     )
-    return st.recursive(base, _extend, max_leaves=8)
+    return st.recursive(base, lambda c: _extend(c, unbounded), max_leaves=8)
 
 
 def _extend_sugar(children):

@@ -1,17 +1,18 @@
-"""Set-based references for the position analysis.
+"""Set-based references for the position analysis and the length fold.
 
 ``positions_reference`` is the position analysis with one Python set per
 position, and ``first_conflict_reference`` searches its counter-blind sets
-for the conflict ``check_unambiguous`` reports.  Neither shares code with
-the mask-based ``crekit.engine.position_pass`` they check: this module
-imports nothing from ``crekit.engine``, and ``tests/test_one_build.py``
-keeps it so.  They live apart from ``oracle.py``, which the benchmark loads
-at every set-up.
+for the conflict ``check_unambiguous`` reports.  ``length_set_reference``
+folds word lengths on Python sets, one copy of a repeated body at a time.
+None shares code with the mask-based ``crekit.engine`` functions they
+check (``position_pass`` and ``length_bits``): this module imports nothing
+from ``crekit.engine``, and ``tests/test_one_build.py`` keeps it so.  They
+live apart from ``oracle.py``, which the benchmark loads at every set-up.
 """
 
 from dataclasses import dataclass
 
-from crekit.syntax import Alt, Epsilon, Rep, Symbol, postorder
+from crekit.syntax import Alt, Concat, Epsilon, Rep, Symbol, postorder
 from crekit.unambiguity import FIRST_SET, FOLLOW_SET, Conflict
 
 
@@ -126,3 +127,70 @@ def first_conflict_reference(e):
                 return Conflict(sym, (a, b), FIRST_SET)
             return Conflict(sym, (a, b), FOLLOW_SET, locus_position=p)
     return None
+
+
+def _trunc_sumset(a, b, cutoff):
+    out = set()
+    dropped = False
+    for x in a:
+        for y in b:
+            if x + y <= cutoff:
+                out.add(x + y)
+            else:
+                dropped = True
+    return out, dropped
+
+
+def _rep_lengths(s, low, high, cutoff):
+    dropped = False
+    fold = {0}  # lengths using exactly i copies, i advancing below
+    for _ in range(low):
+        fold, d = _trunc_sumset(fold, s, cutoff)
+        dropped = dropped or d
+        if not fold:
+            break
+    result = set(fold)
+    copies = low
+    while fold and (high is None or copies < high):
+        fold, d = _trunc_sumset(fold, s, cutoff)
+        dropped = dropped or d
+        copies += 1
+        new = fold - result
+        if not new:
+            # every later level stays inside result, with no further drops
+            break
+        result |= new
+    return result, dropped
+
+
+def length_set_reference(e, cutoff):
+    """``(lengths, saturated)`` of ``e`` up to ``cutoff``, as ``length_set``
+    gives them: the set-based fold it used before length bitsets, which adds
+    one copy of a repeated body at a time."""
+    done = []  # (lengths, saturated) per subtree
+    for x in postorder(e):
+        t = type(x)
+        if t is Symbol:
+            done.append(({1}, False))
+        elif t is Epsilon:
+            done.append(({0}, False))
+        elif t is Alt:
+            k = len(x.branches)
+            members, saturated = set(), False
+            for m, sat in done[-k:]:
+                members |= m
+                saturated = saturated or sat
+            done[-k:] = [(members, saturated)]
+        elif t is Concat:
+            k = len(x.parts)
+            members, saturated = {0}, False
+            for m, sat in done[-k:]:
+                members, dropped = _trunc_sumset(members, m, cutoff)
+                saturated = saturated or sat or dropped
+            done[-k:] = [(members, saturated)]
+        else:
+            m, sat = done[-1]
+            members, dropped = _rep_lengths(m, x.count.low, x.count.high, cutoff)
+            done[-1] = (members, sat or dropped)
+    members, saturated = done[0]
+    return frozenset(members), saturated

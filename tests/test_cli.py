@@ -153,6 +153,13 @@ class TestLengthsCommand:
         assert code == 0
         assert out.strip() == "0 1 2 3 (saturated)"
 
+    def test_star_of_two_lengths_in_bounded_time(self):
+        # a star folds by squaring, not one copy at a time
+        code, out, err = run_guarded("lengths", "(a a|a a a)*", "100000", seconds=10)
+        assert (code, err) == (0, "")
+        members = " ".join(map(str, [0] + list(range(2, 100001))))
+        assert out == members + " (saturated)\n"
+
 
 class TestUnambiguousCommand:
     def test_unambiguous(self, capsys):
@@ -182,11 +189,15 @@ class TestDecisionCommands:
         assert out.splitlines() == ["fails", "witness: c c c"]
 
     def test_include_budget_exit(self, capsys):
+        # over two symbols the right side fixes more than lengths: a search
         code, _, err = run_cli(
-            capsys, "include", "a{1,3}", "a{2,2}", "--budget", "1"
+            capsys, "include", "(a b){1,3}", "(a b){2,2}", "--budget", "1"
         )
         assert code == 3
         assert "error[STATE_BUDGET]" in err
+        # a unary right side is decided on lengths and charges no pair
+        code, out, _ = run_cli(capsys, "include", "a{1,3}", "a{2,2}", "--budget", "1")
+        assert code == 1 and out.splitlines() == ["fails", "witness: a"]
 
     def test_overlap_budget_exit(self):
         # quadratically many state pairs in u: about 8M at u = 2000
@@ -195,6 +206,20 @@ class TestDecisionCommands:
         code, out, err = run_guarded(*argv)
         assert code == 3 and out == ""
         assert err.startswith("error[STATE_BUDGET]: ") and err.count("\n") == 1
+
+    def test_include_huge_unary_right_side_is_decided(self):
+        # decided on lengths: the right side is never built, so its
+        # 10^4300 expansion nodes are not charged to the cap
+        right = "a{0," + "9" * 4300 + "}"
+        code, out, err = run_guarded("include", "a{0,10}", right, seconds=10)
+        assert (code, out, err) == (0, "holds\n", "")
+
+    def test_include_long_unary_witness_in_bounded_memory(self):
+        # one state per layer of the spelled word, each stored shifted down
+        argv = ("include", "a{24999}", "a{0,24998}")
+        code, out, err = run_guarded(*argv, seconds=10, memory=128 << 20)
+        assert code == 1 and err == ""
+        assert out.splitlines() == ["fails", "witness: " + " ".join(["a"] * 24999)]
 
     def test_include_nested_counters_in_bounded_time(self):
         # right keys of thousands of states in a 12,801-state automaton
@@ -275,10 +300,17 @@ class TestReductionCommands:
         assert (code, out.strip()) == ((0, "yes") if exists else (1, "no"))
 
     def test_partition_at_n_1000(self, tmp_path):
-        # 4,001 class states on the right; its 404,001 plain states ran out of memory
+        # E2 is decided on lengths; its 404,001 plain states ran out of memory
         path = tmp_path / "w.txt"
         path.write_text("20 " * 100 + "\n")
         code, out, err = run_guarded("partition", str(path), "--cap", "10000000")
+        assert (code, out, err) == (0, "yes\n", "")
+
+    def test_partition_at_n_2500_at_the_default_cap(self, tmp_path):
+        # E2 fixes only lengths and is never built; E1 has 7,501 positions
+        path = tmp_path / "w.txt"
+        path.write_text("20 " * 250 + "\n")
+        code, out, err = run_guarded("partition", str(path), seconds=10)
         assert (code, out, err) == (0, "yes\n", "")
 
     def test_partition_odd_is_plain_no(self, capsys, tmp_path):

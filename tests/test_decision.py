@@ -5,12 +5,13 @@ from hypothesis import given, settings
 
 from conftest import expressions, random_expr
 from crekit.decision import (
+    _inclusion,
     equivalent,
     includes,
     overlaps,
     union_alphabet,
 )
-from crekit.engine import expand, glushkov, member
+from crekit.engine import automaton, expand, glushkov, member
 from crekit.errors import StateBudgetExceeded
 from crekit.partition import PartitionInstance, build_expressions
 from crekit.syntax import alt, parse_expr, render_expr
@@ -50,16 +51,22 @@ class TestIncludes:
         assert verdict.witness == ()
 
     def test_budget_failure_is_loud(self):
+        # a unary right side fixes only lengths: ``includes`` decides it
+        # without a search and charges no pair, so the search runs directly
+        left, right = parse_expr("a{1,3}"), parse_expr("a{2,2}")
         with pytest.raises(StateBudgetExceeded):
-            includes(parse_expr("a{1,3}"), parse_expr("a{2,2}"), state_budget=1)
+            _inclusion(automaton(left), automaton(right), ("a",), 1)
+        assert includes(left, right, state_budget=1).witness == ("a",)
 
     def test_budget_error_reports_progress(self):
         # one new pair per depth: a^d reaches (a^d, {a^d}) and nothing else
+        e = parse_expr("a{0,10}")
         with pytest.raises(StateBudgetExceeded) as caught:
-            includes(parse_expr("a{0,10}"), parse_expr("a{0,10}"), state_budget=5)
+            _inclusion(automaton(e), automaton(e), ("a",), 5)
         exc = caught.value
         assert (exc.budget, exc.found, exc.depth) == (5, 6, 5)
         assert str(exc) == "product-state budget of 5 exceeded: 6 pairs found by depth 5"
+        assert includes(e, e, state_budget=5).holds  # decided on lengths
 
     def test_witness_follows_every_pair_of_an_access_word(self):
         # "c" reaches several left states; the children of a later one on the
@@ -199,14 +206,22 @@ def _nondeterministic_pairs(count, seed):
             yield left, right, bound
 
 
+def fixes_only_lengths(right, syms):
+    """True iff every position of ``automaton(right)`` is entered on every
+    symbol of ``syms``."""
+    labels = automaton(right).symbols
+    return all(set(x if type(x) is tuple else (x,)) == set(syms) for x in labels)
+
+
 def test_witnesses_match_brute_force_shortest_lex(searches):
     """Every witness is the shortest-lex word the enumerated languages give.
 
-    Every right side has at most 64 states, so each inclusion search is
-    pruned; some reach a goal after a drop and run a departure search, and
-    some of those fall back to the unpruned search."""
+    A right side that fixes only lengths is decided without a search.
+    Every other right side has at most 64 states, so each inclusion search
+    is pruned; some reach a goal after a drop and run a departure search,
+    and some of those fall back to the unpruned search."""
     wrong = []
-    departures = fallbacks = 0
+    routed = departures = fallbacks = 0
     for left, right, bound in _nondeterministic_pairs(1500, seed=20261018):
         lang_l, lang_r = brute_language(left, bound), brute_language(right, bound)
         only_left = shortlex_first(lang_l - lang_r, symbol_order(left, right))
@@ -220,7 +235,11 @@ def test_witnesses_match_brute_force_shortest_lex(searches):
         eq = equivalent(left, right)
         searches.clear()
         inclusion = includes(left, right)
-        assert searches[0] == "pruned"  # the right side is narrow
+        if fixes_only_lengths(right, union_alphabet(left, right)):
+            assert searches == []  # every left side here is finite
+            routed += 1
+        else:
+            assert searches[0] == "pruned"  # the right side is narrow
         departures += "departure" in searches
         fallbacks += "unpruned" in searches
         got = (
@@ -232,4 +251,4 @@ def test_witnesses_match_brute_force_shortest_lex(searches):
         if got != want:
             wrong.append((render_expr(left), render_expr(right), got, want))
     assert wrong == []
-    assert departures and fallbacks
+    assert routed and departures and fallbacks

@@ -93,10 +93,15 @@ def test_only_a_strict_subset_drops_a_pair():
 
 def test_wide_right_side_runs_once_unpruned(searches):
     e1, e2 = build_expressions(PartitionInstance((20, 20, 20)))
-    assert automaton(e2, decision.DEFAULT_EXPANSION_CAP).state_count > 64
+    a, b = (automaton(e, decision.DEFAULT_EXPANSION_CAP) for e in (e1, e2))
+    assert b.state_count > 64
+    syms = decision.union_alphabet(e1, e2)
     with pytest.raises(StateBudgetExceeded) as info:
-        includes(e1, e2, state_budget=150)
+        decision._inclusion(a, b, syms, 150)
     assert (info.value.found, info.value.depth) == (151, 90)
+    assert searches == ["unpruned"]
+    # E2 fixes only lengths, so ``includes`` decides it without a search
+    assert includes(e1, e2, state_budget=150).holds
     assert searches == ["unpruned"]
 
 
