@@ -14,16 +14,13 @@ pairs whose key strictly contains the smallest kept key of the same left
 state (antichains, De Wulf et al., CAV 2006).  The states are those of
 ``automaton``, where an alternation of distinct symbols is one class
 position: the reduction's right side for three weights summing to 24 has
-49 states, not 193, so it is pruned and stepped by the byte table below.
+49 states, not 193, so it is pruned and stepped by its byte table.
 A goal met after a drop is spelled on the kept pairs, and one search
 seeded where a smaller word of that length would leave it checks the
-tie-break; only if one exists is the search run unpruned.  Each side steps
-its subsets with ``_step``: up to 64 states, through a per-search
-Four-Russians table (Myers 1992) of the follow union of each byte of a
-subset, as those bytes mostly repeat; above that, through the links of
-the automaton, a constant number of big-int operations per link for a
-whole subset (the bit-vector form of Le Glaunec, Kong and Mamouras, OOPSLA
-2023).  The witness keeps ``Nfa.reach``.
+tie-break; only if one exists is the search run unpruned.  Every walk
+here, the search, its witness and ``_spell``, steps subsets with
+``Nfa.reach`` and tests states backwards with ``Nfa.into``, which choose
+how from the automaton; this module reads nothing of its follow storage.
 
 When a layer holds a goal pair the layer is finished, a backward pass over
 the stored layers keeps the pairs that lead to a goal, and a forward walk
@@ -50,7 +47,6 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .engine import (
     DEFAULT_EXPANSION_CAP,
@@ -58,7 +54,6 @@ from .engine import (
     Word,
     _check_cap,
     _is_class,
-    _mask,
     automaton,
     bits,
     length_bits,
@@ -119,12 +114,12 @@ class _Right:
     subset is a rejecting sink); overlap, with ``split``, makes one key per
     state.  ``rows[k][i]`` caches the ids of the successor keys of key k on
     symbol i, or is None until first asked for, so the search handles small
-    ids, never rehashes a subset, and steps each key once (``_step``, into
-    ``reaches``, which is freed once the key's row is full).
+    ids, never rehashes a subset, and steps each key once (``Nfa.reach``,
+    into ``reaches``, which is freed once the key's row is full).
     """
 
     def __init__(self, b: Nfa, masks: list[int], split: bool):
-        self.step, self.masks, self.split = _step(b), masks, split
+        self.nfa, self.masks, self.split = b, masks, split
         self.ids: dict[int, int] = {}
         self.keys: list[int] = []
         self.reaches: list[int | None] = []
@@ -143,7 +138,7 @@ class _Right:
         """Fill in and return ``rows[k][i]``."""
         reach = self.reaches[k]
         if reach is None:
-            reach = self.reaches[k] = self.step(self.keys[k])
+            reach = self.reaches[k] = self.nfa.reach(self.keys[k])
         targets = reach & self.masks[i]
         if not self.split:
             row = (self.intern(targets),)
@@ -155,68 +150,6 @@ class _Right:
         if None not in self.rows[k]:  # the row holds all the search reads
             self.reaches[k] = None
         return row
-
-
-def _step(n: Nfa) -> Callable[[int], int]:
-    """``n.reach`` for one search; up to 64 states, through a table that maps
-    ``chunk << 8 | byte`` to the follow union of that byte's states, and
-    above that through ``n.links`` when it has any."""
-    reach = n.reach
-    if n.state_count > 64:
-        return _link_step(n) if n.links else reach
-    table: dict[int, int] = {}  # freed with the search: <= 8 * 255 entries
-
-    def table_step(states: int) -> int:
-        if not states & (states - 1):
-            return reach(states)
-        out = key = 0
-        while states:
-            byte = states & 255
-            if byte:
-                got = table.get(key | byte)
-                if got is None:
-                    got = table[key | byte] = reach(byte << (key >> 5))
-                out |= got
-            states >>= 8
-            key += 256
-        return out
-
-    return table_step
-
-
-def _link_step(n: Nfa) -> Callable[[int], int]:
-    """``n.reach`` through ``n.links``, in a few big-int operations per link.
-
-    In each w-bit field of a family, the low w - 1 bits plus ``2**(w-1) -
-    1`` carry into the top bit exactly when they are not all zero, so one
-    add finds the fields that meet the sources.  The top bits, shifted to
-    the start of their fields and multiplied by the targets, which span less
-    than w bits, give every hit field its targets at once.  A set with no
-    more members than there are links takes the member loop of ``n.reach``.
-    """
-    reach, links = n.reach, []
-    for o, w, sources, targets in n.links:
-        unit = low = 0
-        if w > 1:  # one bit at the start of each field, and the low bits
-            fields = -(-sources.bit_length() // w)
-            unit = ((1 << w * fields) - 1) // ((1 << w) - 1)
-            low = (unit << w - 1) - unit
-        links.append((o, w, sources, targets, low, low + unit))
-    cost = len(links)
-
-    def link_step(states: int) -> int:
-        if states.bit_count() <= cost:
-            return reach(states)
-        out = 0
-        for o, w, sources, targets, low, high in links:
-            hit = states >> o & sources
-            if hit:
-                if w > 1:
-                    hit = (((hit & low) + low | hit) & high) >> w - 1
-                out |= (hit * targets if w else targets) << o
-        return out
-
-    return link_step
 
 
 def _search(
@@ -253,7 +186,6 @@ def _search(
     right = _Right(b, [b.symbol_masks.get(sym, 0) for sym in syms], split)
     keys, rows, successors = right.keys, right.rows, right.successors
     a_accepting, b_accepting = a.accepting, b.accepting
-    a_step = _step(a)
     moves: dict[int, list[tuple[int, int]]] = {}
     starts = seeds or {0: {1: 1}}  # the initial left state with the initial right key
     seen: dict[int, int] = {}
@@ -300,12 +232,12 @@ def _search(
         following = {}
         for k, states in layer.items():
             row = rows[k]
-            step = moves.get(states)
-            if step is None:  # (symbol index, successors) per symbol it can read
-                union = a_step(states)
-                step = [(i, union & m) for i, m in enumerate(a_masks) if union & m]
-                moves[states] = step
-            for i, targets in step:
+            move = moves.get(states)
+            if move is None:  # (symbol index, successors) per symbol it can read
+                union = a.reach(states)
+                move = [(i, union & m) for i, m in enumerate(a_masks) if union & m]
+                moves[states] = move
+            for i, targets in move:
                 nexts = row[i]
                 if nexts is None:
                     nexts = successors(k, i)
@@ -330,7 +262,6 @@ def _witness(a: Nfa, a_masks, syms, layers, goals, rows, moves) -> Word:
     pairs reached by the word so far and takes the smallest symbol that
     reaches a kept pair of the next layer.
     """
-    follow, offsets = a.follow, a.offsets
     live = [goals]
     for layer in reversed(layers[:-1]):
         after = live[-1]
@@ -341,14 +272,8 @@ def _witness(a: Nfa, a_masks, syms, layers, goals, rows, moves) -> Word:
             for i, targets in moves[states]:
                 for k2 in row[i]:
                     target = after.get(k2, 0) & targets
-                    if not target:
-                        continue
-                    if not states & (states - 1):  # one state: it is kept
-                        hit = states
-                        break
-                    for q in bits(states & ~hit):
-                        if follow[q] << offsets[q] & target:
-                            hit |= 1 << q
+                    if target and hit != states:
+                        hit |= a.into(states & ~hit, target)
             if hit:
                 kept[k] = hit
         live.append(kept)
@@ -418,24 +343,16 @@ def _spell(a: Nfa, syms: tuple[str, ...], length: int) -> Word:
     """
     if not length:
         return ()
-    step, follow, offsets = _step(a), a.follow, a.offsets
     layers, states = [], 1
     for _ in range(length):
-        states = step(states)
+        states = a.reach(states)
         low = (states & -states).bit_length() - 1
         layers.append((low, states >> low))
     low, states = layers[-1]
     layers[-1] = (low, states & a.accepting >> low)
     for i in range(length - 2, -1, -1):
-        after_low, after = layers[i + 1]
-        low, states = layers[i]
-        kept = []
-        for r in bits(states):
-            shift = offsets[low + r] - after_low
-            mask = follow[low + r]
-            if (mask << shift if shift >= 0 else mask >> -shift) & after:
-                kept.append(r)
-        layers[i] = (low, _mask(kept))
+        (low, states), (after_low, after) = layers[i], layers[i + 1]
+        layers[i] = (low, a.into(states, after, low, after_low))
     rank = {sym: i for i, sym in enumerate(syms)}
 
     def smallest(label):  # the smallest symbol a position is entered on
@@ -443,7 +360,7 @@ def _spell(a: Nfa, syms: tuple[str, ...], length: int) -> Word:
 
     word, states = [], 1
     for low, kept in layers:
-        reach = step(states) & kept << low
+        reach = a.reach(states) & kept << low
         sym = min([smallest(a.symbols[q - 1]) for q in bits(reach)], key=rank.get)
         word.append(sym)
         states = reach & a.symbol_masks[sym]

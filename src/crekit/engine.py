@@ -38,8 +38,11 @@ Tillmann, "Rex", ICST 2010), so its subsets are k + 1 times narrower.
 An automaton of more than 64 states also keeps the links the pass adds as
 data, ``Nfa.links``: rectangles, and strided families that stand for all
 copies of a body at once (Chang and Paige, "From regular expressions to
-DFA's using compressed NFA's", TCS 1997).  Every tree walk
-here runs on ``syntax.postorder`` instead of recursion.
+DFA's using compressed NFA's", TCS 1997).  ``Nfa.reach`` is the one subset
+step of membership, enumeration and every decision: it steps dense subsets
+through the links, and subsets of at most 64 states through a byte table
+kept on the automaton.  Every tree walk here runs on ``syntax.postorder``
+instead of recursion.
 
 ``automaton(e, cap)`` is the one place that calls ``glushkov``, with class
 positions, and every query on a tree (``member``, ``language_iter``,
@@ -48,7 +51,9 @@ It remembers the last tree it built, by identity, so a run of queries on
 one tree builds once.  That automaton stays in memory until the next
 build: about 5 MB for ``a{0,100000}`` built under cap 1,000,000.  The
 remembered build is one tuple, read and replaced whole, so threads may
-share it.
+share it.  Threads sharing a remembered automaton of at most 64 states
+also share its byte table (see ``Nfa.reach``); each fills an entry with
+the one value it can hold, so the table is filled idempotently.
 
 Words are tuples of symbol names.  Their text form is space-separated
 lexemes, with the empty word written ``%``.
@@ -237,10 +242,10 @@ class Nfa:
     is ``follow[q] << offsets[q]``: each mask is stored shifted down to its
     lowest member, so a follow set costs bytes in proportion to its span,
     not to q, and a chain such as ``a{0,u}`` stores O(u) bits in all.  A
-    step is ``reach(S) & symbol_masks[sym]``, where ``reach(S)`` is the union
-    of the follow sets of the states in S, computed once for all symbols by
-    one OR per member (the product search steps wide subsets through
-    ``links`` instead, see decision).
+    step is ``reach(S) & symbol_masks[sym]``, where ``reach(S)``, the union
+    of the follow sets of the states in S, is computed once for all symbols
+    by the one subset step that every walk takes (see ``reach``); ``into``
+    is its backward test.  No other module reads the follow storage.
 
     ``links``, recorded only for automata of more than 64 states, is the
     follow relation as the pass built it (Chang and Paige's compressed
@@ -277,6 +282,18 @@ class Nfa:
                 raise ValueError("link out of range")
             if w and (targets >> low).bit_length() > w:
                 raise ValueError("link targets span its width")
+        links = []  # each link with the masks of its fields, for ``reach``
+        for o, w, sources, targets in self.links if n > 64 else ():
+            unit = low = 0
+            if w > 1:  # one bit at the start of each field, and the low bits
+                fields = -(-sources.bit_length() // w)
+                unit = ((1 << w * fields) - 1) // ((1 << w) - 1)
+                low = (unit << w - 1) - unit
+            links.append((o, w, sources, targets, low, low + unit))
+        object.__setattr__(self, "_links", tuple(links))
+        # ``chunk << 8 | byte`` -> the follow union of that byte's states,
+        # filled by ``reach``: at most 8 * 255 entries
+        object.__setattr__(self, "_table", {} if n <= 64 else None)
         entered: dict[Label, list[int]] = {}
         for q, label in enumerate(self.symbols, 1):
             entered.setdefault(label, []).append(q)
@@ -292,10 +309,52 @@ class Nfa:
         return len(self.symbols) + 1
 
     def reach(self, states: int) -> int:
-        """Union of the follow sets of ``states``."""
+        """Union of the follow sets of ``states``: the one subset step.
+
+        The automaton picks how.  A set of at most one state reads its
+        follow set.  Up to 64 states, a set ORs one entry per nonzero byte
+        from a table of the follow union of each byte at each byte position
+        (the Four-Russians table of Myers, 1992), filled on a miss, as the
+        bytes of subsets mostly repeat.  Above that, a set with more members
+        than the automaton has links steps through them, in a few big-int
+        operations per link (the bit-vector form of Le Glaunec, Kong and
+        Mamouras, OOPSLA 2023): in each w-bit field of a family, the low w -
+        1 bits plus ``2**(w-1) - 1`` carry into the top bit exactly when
+        they are not all zero, so one add finds the fields that meet the
+        sources, and the top bits, shifted to the start of their fields and
+        multiplied by the targets, give every hit field its targets at once.
+        Any other set ORs the follow set of each member.
+        """
         if not states & (states - 1):  # at most one state: no bit loop
             q = states.bit_length() - 1
             return self.follow[q] << self.offsets[q] if q >= 0 else 0
+        table = self._table
+        if table is None:  # more than 64 states
+            links = self._links
+            if not links or states.bit_count() <= len(links):
+                return self._members(states)
+            out = 0
+            for o, w, sources, targets, low, high in links:
+                hit = states >> o & sources
+                if hit:
+                    if w > 1:
+                        hit = (((hit & low) + low | hit) & high) >> w - 1
+                    out |= (hit * targets if w else targets) << o
+            return out
+        out = key = 0
+        while states:
+            byte = states & 255
+            if byte:
+                got = table.get(key | byte)
+                if got is None:  # the byte's states, shifted back to its chunk
+                    got = table[key | byte] = self._members(byte << (key >> 5))
+                out |= got
+            states >>= 8
+            key += 256
+        return out
+
+    def _members(self, states: int) -> int:
+        """``reach`` by one OR per member of ``states``."""
         out = 0
         follow, offsets = self.follow, self.offsets
         while states:  # the loop of ``bits``, inlined: this is the hot path
@@ -304,6 +363,22 @@ class Nfa:
             out |= follow[q] << offsets[q]
             states ^= low
         return out
+
+    def into(self, states: int, targets: int, low: int = 0, target_low: int = 0) -> int:
+        """The members of ``states`` whose follow set meets ``targets``.
+
+        Each set may be stored shifted down: ``states`` stands for ``states
+        << low``, ``targets`` for ``targets << target_low``, and the result
+        is shifted as ``states`` is.  A follow mask is shifted only by its
+        offset less ``target_low``: shifted out to its own position, each
+        test would cost the width of the automaton.
+        """
+        follow, offsets, kept = self.follow, self.offsets, []
+        for r in bits(states):
+            mask, shift = follow[low + r], offsets[low + r] - target_low
+            if (mask << shift if shift >= 0 else mask >> -shift) & targets:
+                kept.append(r)
+        return _mask(kept)
 
     def step(self, states, symbol: str) -> frozenset[int]:
         """Successors of an iterable of states on ``symbol``, as a set."""

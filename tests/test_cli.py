@@ -96,6 +96,14 @@ class TestMemberCommand:
         assert code == 2 and out == ""
         assert err == "error[SYNTAX]: invalid symbol '1' in word (at position 3)\n"
 
+    def test_long_word_in_bounded_time(self, tmp_path):
+        # dense subsets of a 20,003-state automaton, stepped through its links
+        path = tmp_path / "word.txt"
+        path.write_text("a " * 20000 + "b")
+        argv = ("member", "a* a{0,20000} b", f"@{path}")
+        code, out, err = run_guarded(*argv, seconds=20)
+        assert (code, out, err) == (0, "true\n", "")
+
     def test_large_counter_hits_the_cap(self, capsys):
         # 30000 optional copies need 119999 nodes, over the default cap
         code, out, err = run_cli(capsys, "member", "a{0,30000}", "a")

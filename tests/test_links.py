@@ -1,11 +1,11 @@
-"""The links of the position pass, and the search's step through them.
+"""The links of the position pass, and the subset step through them.
 
 ``Nfa.links`` restates the follow relation in compressed form: rectangles
 and strided families (see ``crekit.engine.Nfa``).  The reading here takes
 each link apart bit by bit, with none of the add-and-multiply tricks of
-``decision._link_step``, and must give back every follow set exactly.
-``_link_step`` is then checked against ``Nfa.reach`` on dense subsets,
-where it does not fall back to the member loop.
+``Nfa.reach``, and must give back every follow set exactly.  ``Nfa.reach``
+is then checked against the follow sets read one state at a time on dense
+subsets, where it steps through the links and not the member loop.
 """
 
 import random
@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expressions
-from crekit.decision import _step
+from conftest import expressions, follow_union
 from crekit.engine import Nfa, _expansion_sizes, bits, glushkov, position_pass
 from crekit.partition import PartitionInstance, build_expressions
 from crekit.syntax import Symbol, concat, parse_expr, postorder, rep
@@ -98,22 +97,20 @@ def test_link_step_equals_reach_on_dense_subsets(e):
     for nfa in (glushkov(e), glushkov(_padded(e))):
         if nfa.state_count <= 64:
             continue
-        step = _step(nfa)
-        assert step.__name__ == "link_step"
+        assert nfa._table is None and len(nfa._links) == len(nfa.links) > 0
         rng = random.Random(nfa.state_count)
         subsets = _dense(nfa.state_count, rng)
         assert any(s.bit_count() > len(nfa.links) for s in subsets)
         for states in subsets:
-            assert step(states) == nfa.reach(states), bin(states)
+            assert nfa.reach(states) == follow_union(nfa, states), bin(states)
 
 
 @settings(max_examples=100, deadline=None)
 @given(expressions(), st.integers(0, 2**32))
 def test_link_step_equals_reach_on_random_expressions(e, seed):
     nfa = glushkov(_padded(e))
-    step = _step(nfa)
     for states in _dense(nfa.state_count, random.Random(seed)):
-        assert step(states) == nfa.reach(states), bin(states)
+        assert nfa.reach(states) == follow_union(nfa, states), bin(states)
 
 
 def test_dense_sets_take_the_links_and_sparse_ones_the_member_loop():
@@ -121,9 +118,9 @@ def test_dense_sets_take_the_links_and_sparse_ones_the_member_loop():
     # the same links over follow masks that are all empty
     n = nfa.state_count
     blank = Nfa(nfa.symbols, nfa.offsets, (0,) * n, nfa.accepting, nfa.links)
-    step, full = _step(blank), (1 << n) - 1
-    assert step(full) == nfa.reach(full) != 0
-    assert step(0b110) == 0
+    full = (1 << n) - 1
+    assert blank.reach(full) == follow_union(nfa, full) != 0
+    assert blank.reach(0b110) == 0
 
 
 def test_bad_links_are_rejected():

@@ -8,6 +8,12 @@ reference semantics the tests compare against.  The guard reads each module
 of crekit with ``ast`` and lists every call of either name, as ``f(...)``
 or ``x.f(...)``, with the function that makes it.
 
+Only ``engine`` knows how an automaton stores its follow sets: shifted
+masks in ``follow`` and ``offsets``, and ``links``.  Every other module
+steps subsets through ``Nfa.reach`` and ``Nfa.into``, so a change of
+storage or of the step stays inside ``engine``.  The same kind of guard
+lists every read of those attributes, as ``x.follow``, outside it.
+
 A second guard keeps each oracle independent of the code it checks:
 ``position_oracle.py`` imports nothing from ``crekit.engine``, which holds
 the position pass, and ``oracle.py`` nothing from ``crekit.decision``,
@@ -24,11 +30,12 @@ import crekit
 SRC = Path(crekit.__file__).parent
 TESTS = Path(__file__).parent
 BUILDERS = ("expand", "glushkov")
+STORAGE = ("follow", "offsets", "links")
 # oracle -> the crekit module it checks, and must not import from
 ORACLES = {"oracle.py": "crekit.decision", "position_oracle.py": "crekit.engine"}
 
 
-class _BuilderCalls(ast.NodeVisitor):
+class _Scoped(ast.NodeVisitor):
     def __init__(self):
         self.scope = ["<module>"]
         self.found: list[tuple[str, str]] = []
@@ -40,6 +47,8 @@ class _BuilderCalls(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
+
+class _BuilderCalls(_Scoped):
     def visit_Call(self, node):
         f = node.func
         name = getattr(f, "id", None) or getattr(f, "attr", None)
@@ -51,6 +60,20 @@ class _BuilderCalls(ast.NodeVisitor):
 def builder_calls(tree: ast.Module) -> list[tuple[str, str]]:
     """``(enclosing function, builder)`` for each builder call, in source order."""
     visitor = _BuilderCalls()
+    visitor.visit(tree)
+    return visitor.found
+
+
+class _StorageReads(_Scoped):
+    def visit_Attribute(self, node):
+        if node.attr in STORAGE:
+            self.found.append((self.scope[-1], node.attr))
+        self.generic_visit(node)
+
+
+def storage_reads(tree: ast.Module) -> list[tuple[str, str]]:
+    """``(enclosing function, attribute)`` for each read of the follow storage."""
+    visitor = _StorageReads()
     visitor.visit(tree)
     return visitor.found
 
@@ -76,6 +99,28 @@ def test_only_automaton_builds(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"), module)
     want = [("automaton", "glushkov")]
     assert builder_calls(tree) == (want if module == "engine.py" else [])
+
+
+def test_guard_sees_storage_reads():
+    tree = ast.parse(
+        "def walk(a, q): return a.follow[q] << a.offsets[q]\n"
+        "class C:\n"
+        "    def links(self): return len(self.nfa.links)\n"
+        "follow = nfa.reach(1)\n"
+    )
+    assert storage_reads(tree) == [
+        ("walk", "follow"),
+        ("walk", "offsets"),
+        ("links", "links"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "engine.py")
+)
+def test_only_engine_reads_the_follow_storage(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"), module)
+    assert storage_reads(tree) == []
 
 
 def imported_from(tree: ast.Module) -> set[str]:

@@ -1,13 +1,14 @@
-"""The product search's subset step, and the families it speeds up.
+"""The one subset step, ``Nfa.reach``, and the search families it speeds up.
 
-``decision._step`` replaces ``Nfa.reach`` inside one search: up to 64
-states through a table of follow unions per byte of a subset, above that
-through the automaton's links (``tests/test_links.py`` checks them on wide
-shapes), and ``Nfa.reach`` itself for a wide automaton without links.  The
-property test pins it to ``Nfa.reach`` on every side of that scope.  The family tests take their answers from
-``tests/oracle.py``, which shares no code with the search, and the guard
-checks that a search leaves nothing behind on the automaton that
-``crekit.automaton`` remembers.
+``Nfa.reach`` steps up to 64 states through a table of follow unions per
+byte of a subset, kept on the automaton; above that through the
+automaton's links (``tests/test_links.py`` checks them on wide shapes),
+and with the member loop for a wide automaton without links.  The property
+tests pin it, and ``Nfa.into``, to the follow sets read one state at a
+time on every side of that scope.  The family tests take their answers
+from ``tests/oracle.py``, which shares no code with the search, and the
+guard checks what queries leave on the automaton that ``crekit.automaton``
+remembers: a bounded table and nothing else.
 """
 
 import random
@@ -16,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crekit
-from conftest import expressions
-from crekit.decision import _step, equivalent, includes, overlaps
+from conftest import expressions, follow_union
+from crekit.decision import equivalent, includes, overlaps
 from crekit.engine import Nfa, glushkov
-from crekit.syntax import parse_expr
+from crekit.syntax import parse_expr, rep
 from oracle import brute_language, overlaps_reference, shortlex_first, symbol_order
 
 
@@ -34,14 +35,21 @@ def _subsets(n: int, rng: random.Random) -> list[int]:
     return out
 
 
+TABLE_ENTRIES = 8 * 255  # a nonzero byte at each of the 8 byte positions
+
+
 def _check_step(nfa, seed: int) -> None:
-    step = _step(nfa)
-    # the table up to 64 states, the links above, and ``reach`` without links
-    scope = "table" if nfa.state_count <= 64 else "link" if nfa.links else None
-    assert step.__name__ == f"{scope}_step" if scope else step == nfa.reach
+    # the table up to 64 states, the links above, and the member loop without links
+    assert (nfa._table is None) == (nfa.state_count > 64)
+    assert bool(nfa._links) == (nfa.state_count > 64 and bool(nfa.links))
+    filled = None
     for _ in range(2):  # the second round reads the table the first one filled
         for states in _subsets(nfa.state_count, random.Random(seed)):
-            assert step(states) == nfa.reach(states), bin(states)
+            assert nfa.reach(states) == follow_union(nfa, states), bin(states)
+        if nfa._table is not None:
+            assert filled in (None, len(nfa._table))  # no entry added twice
+            filled = len(nfa._table)
+            assert filled <= TABLE_ENTRIES
 
 
 @settings(max_examples=150, deadline=None)
@@ -58,6 +66,26 @@ def test_step_equals_reach_across_the_table_scope():
             _check_step(nfa, seed)
     _check_step(Nfa(nfa.symbols, nfa.offsets, nfa.follow, nfa.accepting), 0)
     _check_step(glushkov(parse_expr("(a|b){0,20} c (a|b|c){0,10}")), 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions(), st.integers(0, 2**32))
+def test_into_equals_the_per_state_test(e, seed):
+    rng = random.Random(seed)
+    for nfa in (glushkov(e), glushkov(rep(e, 2, 30))):
+        n = nfa.state_count
+        for _ in range(10):
+            states, targets = rng.getrandbits(n), rng.getrandbits(n)
+            want = 0
+            for q in range(n):
+                if states >> q & 1 and follow_union(nfa, 1 << q) & targets:
+                    want |= 1 << q
+            assert nfa.into(states, targets) == want
+            # stored shifted down, by at most the lowest member of each
+            low = rng.randint(0, max(0, (states & -states).bit_length() - 1))
+            target_low = rng.randint(0, max(0, (targets & -targets).bit_length() - 1))
+            shifted = nfa.into(states >> low, targets >> target_low, low, target_low)
+            assert shifted == want >> low
 
 
 # --- the families of the search benchmark, at small sizes ------------------------
@@ -91,17 +119,23 @@ def test_search_families_match_the_oracle():
 
 
 def test_search_leaves_the_remembered_automaton_untouched():
+    # queries fill the remembered automaton's byte table and nothing else:
+    # the table stays bounded and the automaton equal to a fresh build
     e = parse_expr("(a|b)* a (a|b){5}")
     nfa = crekit.automaton(e)
     fields = set(vars(nfa))
     for query in (includes, overlaps, equivalent):
         query(e, e)
+    crekit.member(e, ("a", "b") * 20)
+    crekit.enumerate_words(e, 8)
     assert crekit.automaton(e) is nfa
+    assert 0 < len(nfa._table) <= TABLE_ENTRIES
     assert set(vars(nfa)) == fields
     assert nfa == glushkov(e, classes=True)
     left, right = _family(5)[:2]
     for query in (includes, overlaps, equivalent):
         query(left, right)
     remembered = crekit.automaton(right)  # the last tree ``equivalent`` built
+    assert 0 < len(remembered._table) <= TABLE_ENTRIES
     assert set(vars(remembered)) == set(vars(glushkov(right, classes=True)))
     assert remembered == glushkov(right, classes=True)
