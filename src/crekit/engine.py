@@ -231,6 +231,22 @@ Link = tuple[int, int, int, int]  # origin, width, sources, targets: see Nfa
 Label = str | tuple[str, ...]  # the symbol, or symbols, a position is entered on
 
 
+def _field_masks(link: Link) -> tuple[int, int, int, int, int, int]:
+    """``link`` with the masks ``Nfa.reach`` tests its fields by: ``low``,
+    the low w - 1 bits of each w-bit field, and ``low`` plus the top bits.
+    ``low`` added to the low bits carries into the top bit exactly when they
+    are not all zero, so one add finds the fields that meet the sources; the
+    top bits, shifted to the start of their fields and multiplied by the
+    targets, which span less than w bits, give every hit field its targets."""
+    o, w, sources, targets = link
+    unit = low = 0
+    if w > 1:
+        fields = -(-sources.bit_length() // w)
+        unit = ((1 << w * fields) - 1) // ((1 << w) - 1)  # bit 0 of each field
+        low = (unit << w - 1) - unit
+    return o, w, sources, targets, low, low + unit
+
+
 @dataclass(frozen=True)
 class Nfa:
     """Epsilon-free position automaton over bitmask state sets.
@@ -282,18 +298,12 @@ class Nfa:
                 raise ValueError("link out of range")
             if w and (targets >> low).bit_length() > w:
                 raise ValueError("link targets span its width")
-        links = []  # each link with the masks of its fields, for ``reach``
-        for o, w, sources, targets in self.links if n > 64 else ():
-            unit = low = 0
-            if w > 1:  # one bit at the start of each field, and the low bits
-                fields = -(-sources.bit_length() // w)
-                unit = ((1 << w * fields) - 1) // ((1 << w) - 1)
-                low = (unit << w - 1) - unit
-            links.append((o, w, sources, targets, low, low + unit))
-        object.__setattr__(self, "_links", tuple(links))
-        # ``chunk << 8 | byte`` -> the follow union of that byte's states,
-        # filled by ``reach``: at most 8 * 255 entries
+        # how ``reach`` steps: up to 64 states a table from ``chunk << 8 |
+        # byte`` to the follow union of that byte's states, filled on a miss
+        # (at most 8 * 255 entries); above that the links, with field masks
+        links = tuple(map(_field_masks, self.links)) if n > 64 else ()
         object.__setattr__(self, "_table", {} if n <= 64 else None)
+        object.__setattr__(self, "_links", links)
         entered: dict[Label, list[int]] = {}
         for q, label in enumerate(self.symbols, 1):
             entered.setdefault(label, []).append(q)
@@ -318,12 +328,8 @@ class Nfa:
         bytes of subsets mostly repeat.  Above that, a set with more members
         than the automaton has links steps through them, in a few big-int
         operations per link (the bit-vector form of Le Glaunec, Kong and
-        Mamouras, OOPSLA 2023): in each w-bit field of a family, the low w -
-        1 bits plus ``2**(w-1) - 1`` carry into the top bit exactly when
-        they are not all zero, so one add finds the fields that meet the
-        sources, and the top bits, shifted to the start of their fields and
-        multiplied by the targets, give every hit field its targets at once.
-        Any other set ORs the follow set of each member.
+        Mamouras, OOPSLA 2023; see ``_field_masks``).  Any other set ORs
+        the follow set of each member.
         """
         if not states & (states - 1):  # at most one state: no bit loop
             q = states.bit_length() - 1
