@@ -47,7 +47,7 @@ def _check_step(nfa, seed: int) -> None:
         for states in _subsets(nfa.state_count, random.Random(seed)):
             assert nfa.reach(states) == follow_union(nfa, states), bin(states)
         if nfa._table is not None:
-            assert filled in (None, len(nfa._table))  # no entry added twice
+            assert filled in (None, len(nfa._table))  # the second round adds none
             filled = len(nfa._table)
             assert filled <= TABLE_ENTRIES
 
