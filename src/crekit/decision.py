@@ -336,34 +336,38 @@ def _fixes_only_lengths(order: list[Expr], syms: tuple[str, ...]) -> bool:
 def _spell(a: Nfa, syms: tuple[str, ...], length: int) -> Word:
     """The smallest word of L(a) of ``length`` in ``syms`` order; one must exist.
 
-    A forward pass stores the states words of each length reach, as
-    ``(low, states >> low)``; a backward pass keeps those that reach
-    acceptance in the remaining steps; the walk takes at each step the
-    smallest symbol that enters a kept state.
+    A forward pass stores the states words of each length reach; a
+    backward pass keeps those that reach acceptance in the remaining steps;
+    the walk takes at each step the smallest symbol that enters a kept
+    state, ranking the few states it reaches by their smallest symbols.
     """
     if not length:
         return ()
     layers, states = [], 1
     for _ in range(length):
         states = a.reach(states)
-        low = (states & -states).bit_length() - 1
-        layers.append((low, states >> low))
-    low, states = layers[-1]
-    layers[-1] = (low, states & a.accepting >> low)
+        layers.append(states)
+    layers[-1] &= a.accepting
     for i in range(length - 2, -1, -1):
-        (low, states), (after_low, after) = layers[i], layers[i + 1]
-        layers[i] = (low, a.into(states, after, low, after_low))
+        layers[i] = a.into(layers[i], layers[i + 1])
     rank = {sym: i for i, sym in enumerate(syms)}
-
-    def smallest(label):  # the smallest symbol a position is entered on
-        return min(label, key=rank.get) if type(label) is tuple else label
-
-    word, states = [], 1
-    for low, kept in layers:
-        reach = a.reach(states) & kept << low
-        sym = min([smallest(a.symbols[q - 1]) for q in bits(reach)], key=rank.get)
-        word.append(sym)
-        states = reach & a.symbol_masks[sym]
+    ranks = {  # label -> the rank of the smallest symbol it is entered on
+        label: min(map(rank.get, label)) if type(label) is tuple else rank[label]
+        for label in set(a.symbols)
+    }
+    labels, word, states = a.symbols, [], 1
+    for kept in layers:
+        reach = a.reach(states) & kept
+        first = (reach & -reach).bit_length() - 1
+        left, best = reach >> first, len(syms)
+        while left:  # the few members, over the span they lie in
+            low = left & -left
+            r = ranks[labels[first + low.bit_length() - 2]]  # state q: labels[q - 1]
+            if r < best:
+                best = r
+            left ^= low
+        word.append(syms[best])
+        states = reach & a.symbol_masks[syms[best]]
     return tuple(word)
 
 

@@ -38,10 +38,12 @@ Tillmann, "Rex", ICST 2010), so its subsets are k + 1 times narrower.
 An automaton of more than 64 states also keeps the links the pass adds as
 data, ``Nfa.links``: rectangles, and strided families that stand for all
 copies of a body at once (Chang and Paige, "From regular expressions to
-DFA's using compressed NFA's", TCS 1997).  ``Nfa.reach`` is the one subset
-step of membership, enumeration and every decision: it steps dense subsets
-through the links, and subsets of at most 64 states through a byte table
-kept on the automaton.  Every tree walk here runs on ``syntax.postorder``
+DFA's using compressed NFA's", TCS 1997), and coalesces them once built,
+so that a run of rectangles over a nullable sequence is one chain.
+``Nfa.reach`` is the one subset step of membership, enumeration and every
+decision: it steps dense subsets through the coalesced links, and subsets
+of at most 64 states through a byte table kept on the automaton;
+``Nfa.into`` reads the same links backwards.  Every tree walk here runs on ``syntax.postorder``
 instead of recursion.
 
 ``automaton(e, cap)`` is the one place that calls ``glushkov``, with class
@@ -62,6 +64,7 @@ lexemes, with the empty word written ``%``.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import ExpansionCapExceeded, ExprSyntaxError, ResultTooLarge
@@ -233,10 +236,10 @@ Label = str | tuple[str, ...]  # the symbol, or symbols, a position is entered o
 
 def _field_masks(link: Link) -> tuple[int, int, int, int, int, int]:
     """``link`` with the masks ``Nfa.reach`` tests its fields by: ``low``,
-    the low w - 1 bits of each w-bit field, and ``low`` plus the top bits.
+    the low w - 1 bits of each w-bit field, and ``high``, their top bits.
     ``low`` added to the low bits carries into the top bit exactly when they
-    are not all zero, so one add finds the fields that meet the sources; the
-    top bits, shifted to the start of their fields and multiplied by the
+    are not all zero, so one add finds the fields that meet a set; the top
+    bits, shifted to the start of their fields and multiplied by the
     targets, which span less than w bits, give every hit field its targets."""
     o, w, sources, targets = link
     unit = low = 0
@@ -245,6 +248,89 @@ def _field_masks(link: Link) -> tuple[int, int, int, int, int, int]:
         unit = ((1 << w * fields) - 1) // ((1 << w) - 1)  # bit 0 of each field
         low = (unit << w - 1) - unit
     return o, w, sources, targets, low, low + unit
+
+
+def _top(x: int) -> int:
+    return x.bit_length() - 1
+
+
+def _bottom(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def _continues(kind: int, s0: int, t0: int, s: int, t: int) -> int:
+    """The kind of chain in which rectangle ``(s, t)`` may follow ``(s0, t0)``
+    (absolute sets, ``s`` not below ``s0``), or 0.  Kind 1: the sources
+    nest, each adding only states above the last, and the targets are
+    disjoint and ascending.  Kind 2: the sources are disjoint and ascending,
+    and the targets nest, each dropping only states below the rest.  ``kind``
+    is the chain's kind so far, or 0 for a chain of one."""
+    if kind != 2 and s & s0 == s0:
+        new = s ^ s0
+        return 1 if (not new or _bottom(new) > _top(s0)) and _bottom(t) > _top(t0) else 0
+    if kind != 1 and _bottom(s) > _top(s0) and t != t0:  # t within t0 follows
+        return 2 if _bottom(t) > _top(t0 ^ t) else 0
+    return 0
+
+
+def _chain(run: list[tuple[int, int]]) -> tuple[int, int, int, tuple, tuple, tuple]:
+    """One step entry for a run of rectangles in a chain (see ``_continues``).
+
+    Let j be the first rectangle that holds the lowest source a set meets,
+    found by bisecting ``tops``, the top source of each rectangle.  In kind
+    1 the set meets every rectangle from j on; in kind 2 it meets j and
+    perhaps later ones, whose targets lie within j's.  Either way it
+    reaches ``suffix[j]``, the union of the targets from j on.  Read
+    backwards, the targets that ``suffix[j]`` adds to ``suffix[j + 1]``
+    ascend with j, so the top target a set hits, bisected in ``parts``,
+    names the last rectangle whose targets it meets, and the sources up to
+    that rectangle's top source are the ones that reach the set.  A lone
+    rectangle is a chain of one."""
+    suffix, parts, after = [], [], 0
+    for _, t in reversed(run):
+        parts.append(_top(t & ~after))
+        after |= t
+        suffix.append(after)
+    sources = 0
+    for s, _ in run:
+        sources |= s
+    tops = tuple([_top(s) for s, _ in run])
+    return 0, 0, sources, tuple(suffix[::-1]), tops, tuple(parts[::-1])
+
+
+def _coalesce(links: tuple[Link, ...]) -> tuple:
+    """The step form of ``links``: ``Nfa.links`` with families of equal
+    width and targets whose fields line up merged into one, their sources
+    ORed at their offsets, and rectangles in chains (see ``_chain``), so
+    that the links of all copies of a body, or of every part of a nullable
+    concatenation, cost a few big-int operations per step together.
+    Entries are the ``_field_masks`` of a family, or the ``_chain`` of a
+    run of rectangles, over absolute sets."""
+    families: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    rectangles = []
+    for o, w, sources, targets in links:
+        if w:
+            families.setdefault((w, targets, o % w), []).append((o, sources))
+        else:
+            rectangles.append((sources << o, targets << o))
+    steps = []
+    for (w, targets, _), group in families.items():
+        origin, sources = min(group)[0], 0
+        for o, s in group:
+            sources |= s << o - origin
+        steps.append(_field_masks((origin, w, sources, targets)))
+    rectangles.sort(key=lambda r: (_bottom(r[0]), r[0].bit_length(), _bottom(r[1])))
+    run, kind = [], 0
+    for s, t in rectangles:
+        if run:
+            kind = _continues(kind, *run[-1], s, t)
+            if not kind:
+                steps.append(_chain(run))
+                run = []
+        run.append((s, t))
+    if run:
+        steps.append(_chain(run))
+    return tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -271,6 +357,10 @@ class Nfa:
     o + (j+1)*w)``, where S meets ``sources << o``, S reaches ``targets <<
     o + j*w``; ``targets`` spans less than w bits, so all fields are spread
     by one multiply.  Read state by state, the links give the follow sets.
+    ``reach`` and ``into`` step through them coalesced (``_coalesce``): the
+    families of all counters of E1 in the reduction are one shift, and the
+    rectangles between the parts of a nullable concatenation, or between
+    the copies of a nullable body, are one chain.
     """
 
     symbols: tuple[Label, ...]
@@ -300,8 +390,8 @@ class Nfa:
                 raise ValueError("link targets span its width")
         # how ``reach`` steps: up to 64 states a table from ``chunk << 8 |
         # byte`` to the follow union of that byte's states, filled on a miss
-        # (at most 8 * 255 entries); above that the links, with field masks
-        links = tuple(map(_field_masks, self.links)) if n > 64 else ()
+        # (at most 8 * 255 entries); above that the links, coalesced
+        links = _coalesce(self.links) if n > 64 else ()
         object.__setattr__(self, "_table", {} if n <= 64 else None)
         object.__setattr__(self, "_links", links)
         entered: dict[Label, list[int]] = {}
@@ -326,10 +416,11 @@ class Nfa:
         from a table of the follow union of each byte at each byte position
         (the Four-Russians table of Myers, 1992), filled on a miss, as the
         bytes of subsets mostly repeat.  Above that, a set with more members
-        than the automaton has links steps through them, in a few big-int
-        operations per link (the bit-vector form of Le Glaunec, Kong and
-        Mamouras, OOPSLA 2023; see ``_field_masks``).  Any other set ORs
-        the follow set of each member.
+        than the automaton has coalesced links steps through them, in a few
+        big-int operations per link (the bit-vector form of Le Glaunec, Kong
+        and Mamouras, OOPSLA 2023; see ``_coalesce``), however many copies
+        or parts a link stands for.  Any other set ORs the follow set of
+        each member.
         """
         if not states & (states - 1):  # at most one state: no bit loop
             q = states.bit_length() - 1
@@ -341,11 +432,15 @@ class Nfa:
                 return self._members(states)
             out = 0
             for o, w, sources, targets, low, high in links:
-                hit = states >> o & sources
-                if hit:
+                hit = (states >> o if o else states) & sources
+                if not hit:
+                    continue
+                if w:  # a family: every hit field gets the targets
                     if w > 1:
                         hit = (((hit & low) + low | hit) & high) >> w - 1
-                    out |= (hit * targets if w else targets) << o
+                    out |= hit * targets << o
+                else:  # a chain: its lowest source hit picks the targets
+                    out |= targets[bisect_left(low, _bottom(hit))]
             return out
         out = key = 0
         while states:
@@ -370,21 +465,38 @@ class Nfa:
             states ^= low
         return out
 
-    def into(self, states: int, targets: int, low: int = 0, target_low: int = 0) -> int:
+    def into(self, states: int, targets: int) -> int:
         """The members of ``states`` whose follow set meets ``targets``.
 
-        Each set may be stored shifted down: ``states`` stands for ``states
-        << low``, ``targets`` for ``targets << target_low``, and the result
-        is shifted as ``states`` is.  A follow mask is shifted only by its
-        offset less ``target_low``: shifted out to its own position, each
-        test would cost the width of the automaton.
+        Above 64 states, a set with more members than the automaton has
+        coalesced links reads them backwards: a family keeps the sources of
+        the fields whose targets meet ``targets``, found by the carry of
+        ``reach``, and a chain keeps its sources up to the top one of the
+        last rectangle whose targets meet ``targets`` (see ``_chain``).  Any
+        other set tests the follow set of each member.
         """
-        follow, offsets, kept = self.follow, self.offsets, []
-        for r in bits(states):
-            mask, shift = follow[low + r], offsets[low + r] - target_low
-            if (mask << shift if shift >= 0 else mask >> -shift) & targets:
-                kept.append(r)
-        return _mask(kept)
+        links = self._links
+        if not links or states.bit_count() <= len(links):
+            follow, offsets = self.follow, self.offsets
+            kept = [q for q in bits(states) if follow[q] << offsets[q] & targets]
+            return _mask(kept)
+        out = 0
+        for o, w, sources, ends, low, high in links:
+            if w:
+                shift = o + _bottom(ends)
+                if w > 1:  # the fields whose targets meet ``targets``
+                    hit = targets >> shift & (ends >> shift - o) * (high >> w - 1)
+                    if hit:
+                        hit = (((hit & low) + low | hit) & high) >> w - 1
+                        out |= states & (sources & hit * ((1 << w) - 1)) << o
+                else:
+                    out |= states & (sources & targets >> shift) << o
+            else:  # a chain: the sources up to the last rectangle hit
+                hit = targets & ends[0]
+                if hit:
+                    top = low[bisect_left(high, _top(hit))]
+                    out |= states & sources & (2 << top) - 1
+        return out
 
     def step(self, states, symbol: str) -> frozenset[int]:
         """Successors of an iterable of states on ``symbol``, as a set."""

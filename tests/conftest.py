@@ -125,3 +125,23 @@ def follow_union(nfa, states: int) -> int:
         if states >> q & 1:
             out |= nfa.follow[q] << nfa.offsets[q]
     return out
+
+
+def follow_into(nfa, states: int, targets: int) -> int:
+    """The members of ``states`` whose follow set meets ``targets``, each
+    follow set read from ``nfa.follow`` and ``nfa.offsets`` as in
+    ``follow_union``: the reference for ``Nfa.into``."""
+    out = 0
+    for q in range(nfa.state_count):
+        if states >> q & 1 and nfa.follow[q] << nfa.offsets[q] & targets:
+            out |= 1 << q
+    return out
+
+
+def nullable_run(e):
+    """A nullable concatenation of ``(e|%)`` parts around a nullable counted
+    body of two such parts, padded past 64 states so that its links are
+    kept: they coalesce into chains of both kinds and merged families."""
+    part = alt([e, EPSILON])
+    body = rep(concat([part, part]), 0, 5)
+    return concat([part, body, part, rep(Symbol("z"), 64, 64)])

@@ -236,6 +236,13 @@ class TestDecisionCommands:
         assert code == 1 and err == ""
         assert out.splitlines() == ["fails", "witness: " + " ".join(["a"] * 6401)]
 
+    def test_include_nullable_chain_in_bounded_time(self):
+        # the 4,000 links between the copies of a nullable body are one chain
+        argv = ("include", "a*", "(a|%){0,4000}", "--cap", "1000000")
+        code, out, err = run_guarded(*argv, seconds=2)
+        assert code == 1 and err == ""
+        assert out.splitlines() == ["fails", "witness: " + " ".join(["a"] * 4001)]
+
     def test_include_prunes_subsumed_subsets(self):
         # unpruned, every right subset is kept: 2**17 keys, over the budget
         argv = ("include", "(a|b)* a (a|b){16}", "(a|b)* (a|c) (a|b){16}")
@@ -318,6 +325,14 @@ class TestReductionCommands:
         # E2 fixes only lengths and is never built; E1 has 7,501 positions
         path = tmp_path / "w.txt"
         path.write_text("20 " * 250 + "\n")
+        code, out, err = run_guarded("partition", str(path), seconds=10)
+        assert (code, out, err) == (0, "yes\n", "")
+
+    def test_partition_at_n_10000_in_bounded_time(self, tmp_path):
+        # spelling the witness on E1's 30,001 states steps its links, one
+        # shift and two chains, rather than the follow sets of its members
+        path = tmp_path / "w.txt"
+        path.write_text("20 " * 1000 + "\n")
         code, out, err = run_guarded("partition", str(path), seconds=10)
         assert (code, out, err) == (0, "yes\n", "")
 

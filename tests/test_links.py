@@ -14,10 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expressions, follow_union
-from crekit.engine import Nfa, _expansion_sizes, bits, glushkov, position_pass
+from conftest import expressions, follow_into, follow_union, nullable_run
+from crekit.decision import _spell
+from crekit.engine import (
+    Nfa,
+    _expansion_sizes,
+    automaton,
+    bits,
+    glushkov,
+    length_bits,
+    position_pass,
+)
 from crekit.partition import PartitionInstance, build_expressions
-from crekit.syntax import Symbol, concat, parse_expr, postorder, rep
+from crekit.syntax import Symbol, alphabet_of, concat, parse_expr, postorder, rep
 
 SHAPES = [
     build_expressions(PartitionInstance((3, 3)))[1],
@@ -97,10 +106,10 @@ def test_link_step_equals_reach_on_dense_subsets(e):
     for nfa in (glushkov(e), glushkov(_padded(e))):
         if nfa.state_count <= 64:
             continue
-        assert nfa._table is None and len(nfa._links) == len(nfa.links) > 0
+        assert nfa._table is None and 0 < len(nfa._links) <= len(nfa.links)
         rng = random.Random(nfa.state_count)
         subsets = _dense(nfa.state_count, rng)
-        assert any(s.bit_count() > len(nfa.links) for s in subsets)
+        assert any(s.bit_count() > len(nfa._links) for s in subsets)
         for states in subsets:
             assert nfa.reach(states) == follow_union(nfa, states), bin(states)
 
@@ -138,3 +147,142 @@ def test_bad_links_are_rejected():
     ]:
         with pytest.raises(ValueError):
             Nfa(*fields, (link,))
+
+
+# --- coalesced links ---------------------------------------------------------------
+
+
+def _e1(*weights):
+    return build_expressions(PartitionInstance(weights))[0]
+
+
+# E1 of the reduction: one merged family for its k + 1 counters, one chain
+# for its nullable items and the start; with weight-1 items and with k = 1
+E1_WEIGHTS = [(23, 3, 18, 1, 22, 19, 32, 2), (1,) * 44, (1, 1, 40, 2), (44,), (20,) * 15]
+COALESCED = [
+    *[_e1(*w) for w in E1_WEIGHTS],
+    *map(parse_expr, ["(a|%){0,100}", "(a|b|%){0,70}", "(a b c|%){0,30}"]),
+    # nullable concatenations of width > 1 families, padded past 64 states
+    *map(
+        _padded,
+        map(parse_expr, ["((a b|%) (c d e|%) (f|%)){2,9}", "((a|%) (b c|%)){0,12}"]),
+    ),
+]
+
+
+def _sparse(n: int, rng: random.Random) -> list[int]:
+    """Sets of one to three states, which take the member loop."""
+    return [sum(1 << q for q in rng.sample(range(n), k)) for k in (1, 2, 3) * 5]
+
+
+def _check_coalesced(nfa, rng: random.Random) -> None:
+    n = nfa.state_count
+    subsets = _dense(n, rng) + _sparse(n, rng)
+    assert any(s.bit_count() > len(nfa._links) for s in subsets)
+    for states in subsets:
+        assert nfa.reach(states) == follow_union(nfa, states), bin(states)
+        for targets in (rng.getrandbits(n), 1 << rng.randrange(n), states):
+            got = nfa.into(states, targets)
+            assert got == follow_into(nfa, states, targets), bin(states)
+
+
+@pytest.mark.parametrize("e", COALESCED, ids=range(len(COALESCED)))
+def test_coalesced_step_equals_the_per_state_reading(e):
+    for nfa in (glushkov(e), automaton(e)):
+        assert nfa.state_count > 64 and 0 < len(nfa._links) <= len(nfa.links)
+        _check_links(e)
+        _check_coalesced(nfa, random.Random(nfa.state_count))
+
+
+def test_e1_and_nullable_chains_coalesce_into_few_links():
+    for weights in E1_WEIGHTS:
+        nfa = automaton(_e1(*weights))
+        assert len(nfa.links) > len(weights) + 1 and len(nfa._links) == 3
+    for u in (80, 800):
+        for body in ("a", "a|b", "a b c"):
+            nfa = glushkov(parse_expr(f"({body}|%){{0,{u}}}"))
+            # u rectangles into one chain; "a b c" keeps its two families
+            rectangles = sum(1 for link in nfa.links if not link[1])
+            assert rectangles == u and len(nfa._links) == len(nfa.links) - u + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(expressions(), st.integers(0, 2**32))
+def test_coalesced_step_on_random_nullable_concatenations(e, seed):
+    _check_links(nullable_run(e))
+    _check_coalesced(glushkov(nullable_run(e)), random.Random(seed))
+
+
+def _near_chain(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """Absolute rectangles over n states that are nearly a chain: nested or
+    disjoint ascending sources, and targets that nest or ascend, each rule
+    broken now and then."""
+    out, sources, low = [], 0, rng.randrange(1, n // 2)
+    nested = rng.random() < 0.5
+    for _ in range(rng.randint(2, 8)):
+        top = min(max(sources.bit_length(), low), n - 1)
+        if nested:  # new sources above the old ones, or anywhere
+            new = rng.randrange(top, n) if rng.random() < 0.8 else rng.randrange(low, n)
+            sources |= 1 << new
+        else:
+            sources = 1 << rng.randrange(top, n) if rng.random() < 0.8 else 1 << low
+        if not out or rng.random() < 0.2:
+            targets = rng.getrandbits(n) & ~1 or 2
+        elif nested:  # above the last targets
+            targets = 1 << rng.randrange(min(out[-1][1].bit_length(), n - 1), n)
+        else:  # the last targets less their lowest
+            targets = out[-1][1] & (out[-1][1] - 1) or 2
+        out.append((sources, targets))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_coalescing_keeps_rectangles_that_break_the_chain_rules(seed):
+    rng, n = random.Random(seed), 70
+    links = [(0, 0, s, t) for _ in range(3) for s, t in _near_chain(rng, n)]
+    follow = [0] * n
+    for _, _, sources, targets in links:
+        for q in bits(sources):
+            follow[q] |= targets
+    offsets = [(f & -f).bit_length() - 1 if f else 0 for f in follow]
+    shifted = [f >> o for f, o in zip(follow, offsets)]
+    nfa = Nfa(("a",) * (n - 1), tuple(offsets), tuple(shifted), 0, tuple(links))
+    _check_coalesced(nfa, rng)
+
+
+def _spell_reference(nfa, syms, length):
+    """The smallest word of ``length`` in L(nfa) in ``syms`` order, spelled
+    on the follow sets read by ``follow_union``, one state at a time."""
+
+    def entered(q):  # the symbols state q is entered on
+        label = nfa.symbols[q - 1]
+        return label if type(label) is tuple else (label,)
+
+    layers = [1]
+    for _ in range(length):
+        layers.append(follow_union(nfa, layers[-1]))
+    live = [layers[-1] & nfa.accepting]
+    for states in reversed(layers[:-1]):
+        kept = [q for q in bits(states) if follow_union(nfa, 1 << q) & live[-1]]
+        live.append(sum(1 << q for q in kept))
+    live.reverse()
+    word, states = [], 1
+    for kept in live[1:]:
+        reach = bits(follow_union(nfa, states) & kept)
+        sym = min({s for q in reach for s in entered(q)}, key=syms.index)
+        word.append(sym)
+        states = sum(1 << q for q in reach if sym in entered(q))
+    return tuple(word)
+
+
+SPELLED = COALESCED + list(map(parse_expr, ["(a|b)* a (a|b){3}", "((a|b){1,3} (b|c|%)){2,30}"]))
+
+
+@pytest.mark.parametrize("e", SPELLED, ids=range(len(SPELLED)))
+def test_spell_is_the_smallest_word_on_the_follow_sets(e):
+    nfa = automaton(e)
+    syms = tuple(reversed(alphabet_of(e)))  # an order other than the automaton's
+    lengths = length_bits(postorder(e), 120)[0]
+    for length in bits(lengths)[:: max(1, lengths.bit_count() // 6)]:
+        assert _spell(nfa, syms, length) == _spell_reference(nfa, syms, length)

@@ -2,10 +2,11 @@
 
 ``Nfa.reach`` steps up to 64 states through a table of follow unions per
 byte of a subset, kept on the automaton; above that through the
-automaton's links (``tests/test_links.py`` checks them on wide shapes),
-and with the member loop for a wide automaton without links.  The property
-tests pin it, and ``Nfa.into``, to the follow sets read one state at a
-time on every side of that scope.  The family tests take their answers
+automaton's coalesced links (``tests/test_links.py`` checks them on wide
+shapes), and with the member loop for a wide automaton without links.  The
+property tests pin it, and ``Nfa.into``, to the follow sets read one state
+at a time on every side of that scope, also on nullable concatenations,
+whose links coalesce into chains.  The family tests take their answers
 from ``tests/oracle.py``, which shares no code with the search, and the
 guard checks what queries leave on the automaton that ``crekit.automaton``
 remembers: a bounded table and nothing else.
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crekit
-from conftest import expressions, follow_union
+from conftest import expressions, follow_into, follow_union, nullable_run
 from crekit.decision import equivalent, includes, overlaps
 from crekit.engine import Nfa, glushkov
 from crekit.syntax import parse_expr, rep
@@ -56,6 +57,7 @@ def _check_step(nfa, seed: int) -> None:
 @given(expressions(), st.integers(0, 2**32))
 def test_step_equals_reach_on_random_expressions(e, seed):
     _check_step(glushkov(e), seed)
+    _check_step(glushkov(nullable_run(e)), seed)  # coalesced links
 
 
 def test_step_equals_reach_across_the_table_scope():
@@ -72,20 +74,13 @@ def test_step_equals_reach_across_the_table_scope():
 @given(expressions(), st.integers(0, 2**32))
 def test_into_equals_the_per_state_test(e, seed):
     rng = random.Random(seed)
-    for nfa in (glushkov(e), glushkov(rep(e, 2, 30))):
+    for nfa in (glushkov(e), glushkov(rep(e, 2, 30)), glushkov(nullable_run(e))):
         n = nfa.state_count
         for _ in range(10):
             states, targets = rng.getrandbits(n), rng.getrandbits(n)
-            want = 0
-            for q in range(n):
-                if states >> q & 1 and follow_union(nfa, 1 << q) & targets:
-                    want |= 1 << q
-            assert nfa.into(states, targets) == want
-            # stored shifted down, by at most the lowest member of each
-            low = rng.randint(0, max(0, (states & -states).bit_length() - 1))
-            target_low = rng.randint(0, max(0, (targets & -targets).bit_length() - 1))
-            shifted = nfa.into(states >> low, targets >> target_low, low, target_low)
-            assert shifted == want >> low
+            assert nfa.into(states, targets) == follow_into(nfa, states, targets)
+            one = 1 << rng.randrange(n)  # a lone target, as a witness walk has
+            assert nfa.into(states, one) == follow_into(nfa, states, one)
 
 
 # --- the families of the search benchmark, at small sizes ------------------------
