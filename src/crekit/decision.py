@@ -336,38 +336,43 @@ def _fixes_only_lengths(order: list[Expr], syms: tuple[str, ...]) -> bool:
 def _spell(a: Nfa, syms: tuple[str, ...], length: int) -> Word:
     """The smallest word of L(a) of ``length`` in ``syms`` order; one must exist.
 
-    A forward pass stores the states words of each length reach; a
-    backward pass keeps those that reach acceptance in the remaining steps;
-    the walk takes at each step the smallest symbol that enters a kept
-    state, ranking the few states it reaches by their smallest symbols.
+    A forward pass stores the states words of each length reach, each set
+    as ``(low, states >> low)`` from its lowest member, so that a long
+    unary word keeps O(length) bits rather than O(length**2); a backward
+    pass keeps those that reach acceptance in the remaining steps; the walk
+    takes at each step the smallest symbol that enters a kept state,
+    ranking the few states it reaches by their smallest symbols.
     """
     if not length:
         return ()
     layers, states = [], 1
     for _ in range(length):
         states = a.reach(states)
-        layers.append(states)
-    layers[-1] &= a.accepting
+        low = (states & -states).bit_length() - 1
+        layers.append((low, states >> low))
+    after = states & a.accepting
+    layers[-1] = (low, after >> low)
     for i in range(length - 2, -1, -1):
-        layers[i] = a.into(layers[i], layers[i + 1])
+        low, states = layers[i]
+        after = a.into(states << low, after)
+        layers[i] = (low, after >> low)
     rank = {sym: i for i, sym in enumerate(syms)}
     ranks = {  # label -> the rank of the smallest symbol it is entered on
         label: min(map(rank.get, label)) if type(label) is tuple else rank[label]
         for label in set(a.symbols)
     }
     labels, word, states = a.symbols, [], 1
-    for kept in layers:
-        reach = a.reach(states) & kept
-        first = (reach & -reach).bit_length() - 1
-        left, best = reach >> first, len(syms)
-        while left:  # the few members, over the span they lie in
-            low = left & -left
-            r = ranks[labels[first + low.bit_length() - 2]]  # state q: labels[q - 1]
+    for low, kept in layers:
+        reach = left = a.reach(states) >> low & kept
+        best = len(syms)
+        while left:  # the few kept members it reaches; state q is labels[q - 1]
+            bit = left & -left
+            r = ranks[labels[low + bit.bit_length() - 2]]
             if r < best:
                 best = r
-            left ^= low
+            left ^= bit
         word.append(syms[best])
-        states = reach & a.symbol_masks[syms[best]]
+        states = reach << low & a.symbol_masks[syms[best]]
     return tuple(word)
 
 

@@ -43,8 +43,8 @@ so that a run of rectangles over a nullable sequence is one chain.
 ``Nfa.reach`` is the one subset step of membership, enumeration and every
 decision: it steps dense subsets through the coalesced links, and subsets
 of at most 64 states through a byte table kept on the automaton;
-``Nfa.into`` reads the same links backwards.  Every tree walk here runs on ``syntax.postorder``
-instead of recursion.
+``Nfa.into`` reads the same links backwards.  Every tree walk here runs on
+``syntax.postorder`` instead of recursion.
 
 ``automaton(e, cap)`` is the one place that calls ``glushkov``, with class
 positions, and every query on a tree (``member``, ``language_iter``,
@@ -267,7 +267,8 @@ def _continues(kind: int, s0: int, t0: int, s: int, t: int) -> int:
     is the chain's kind so far, or 0 for a chain of one."""
     if kind != 2 and s & s0 == s0:
         new = s ^ s0
-        return 1 if (not new or _bottom(new) > _top(s0)) and _bottom(t) > _top(t0) else 0
+        above = not new or _bottom(new) > _top(s0)
+        return 1 if above and _bottom(t) > _top(t0) else 0
     if kind != 1 and _bottom(s) > _top(s0) and t != t0:  # t within t0 follows
         return 2 if _bottom(t) > _top(t0 ^ t) else 0
     return 0

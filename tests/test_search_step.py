@@ -79,7 +79,7 @@ def test_into_equals_the_per_state_test(e, seed):
         for _ in range(10):
             states, targets = rng.getrandbits(n), rng.getrandbits(n)
             assert nfa.into(states, targets) == follow_into(nfa, states, targets)
-            one = 1 << rng.randrange(n)  # a lone target, as a witness walk has
+            one = 1 << rng.randrange(n)  # one target state
             assert nfa.into(states, one) == follow_into(nfa, states, one)
 
 
