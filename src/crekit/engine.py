@@ -476,12 +476,16 @@ class Nfa:
         last rectangle whose targets meet ``targets`` (see ``_chain``).  Any
         other set tests the follow set of each member.
         """
-        links = self._links
+        links, out = self._links, 0
         if not links or states.bit_count() <= len(links):
             follow, offsets = self.follow, self.offsets
-            kept = [q for q in bits(states) if follow[q] << offsets[q] & targets]
-            return _mask(kept)
-        out = 0
+            while states:  # the loop of ``_members``
+                low = states & -states
+                q = low.bit_length() - 1
+                if follow[q] << offsets[q] & targets:
+                    out |= low
+                states ^= low
+            return out
         for o, w, sources, ends, low, high in links:
             if w:
                 shift = o + _bottom(ends)
