@@ -4,8 +4,11 @@
 and strided families (see ``crekit.engine.Nfa``).  The reading here takes
 each link apart bit by bit, with none of the add-and-multiply tricks of
 ``Nfa.reach``, and must give back every follow set exactly.  ``Nfa.reach``
-is then checked against the follow sets read one state at a time on dense
-subsets, where it steps through the links and not the member loop.
+and ``Nfa.into`` are then checked against the follow sets read one state
+at a time on dense subsets, where they step through the coalesced links
+(merged families and chains of rectangles), and on sets of a few states,
+which take the member loop; ``decision._spell`` is checked against a
+spelling on those follow sets.
 """
 
 import random
@@ -28,6 +31,16 @@ from crekit.engine import (
 from crekit.partition import PartitionInstance, build_expressions
 from crekit.syntax import Symbol, alphabet_of, concat, parse_expr, postorder, rep
 
+# E1 of the reduction, with weight-1 items and with k = 1: one merged family
+# for its counters, one chain for its nullable items, and the start
+E1_WEIGHTS = [(23, 3, 18, 1, 22, 19, 32, 2), (1,) * 44, (1, 1, 40, 2), (44,), (20,) * 9]
+E1S = [build_expressions(PartitionInstance(w))[0] for w in E1_WEIGHTS]
+# nullable sequences, whose rectangles coalesce into chains
+NULLABLE = [
+    *map(parse_expr, ["(a|b|%){0,70}", "(a b c|%){0,30}"]),
+    # nullable concatenations of families of width > 1
+    *map(parse_expr, ["((a b|%) (c d e|%) (f|%)){2,9}", "((a|%) (b c|%)){0,12}"]),
+]
 SHAPES = [
     build_expressions(PartitionInstance((3, 3)))[1],
     build_expressions(PartitionInstance((20,) * 15))[1],
@@ -42,6 +55,8 @@ SHAPES = [
             "(((a|b){2,3}){2,3}){2,3}",
         ],
     ),
+    *NULLABLE,
+    *E1S,
 ]
 
 
@@ -82,6 +97,7 @@ def test_links_give_the_follow_sets(e):
 def test_links_give_the_follow_sets_on_random_expressions(e):
     _check_links(_padded(e))
     _check_links(rep(e, 2, 20))
+    _check_links(nullable_run(e))
 
 
 def test_copies_compress_into_one_family():
@@ -101,25 +117,36 @@ def _dense(n: int, rng: random.Random) -> list[int]:
     return out
 
 
+def _sparse(n: int, rng: random.Random) -> list[int]:
+    """Sets of one to three states, which take the member loop."""
+    return [sum(1 << q for q in rng.sample(range(n), k)) for k in (1, 2, 3) * 5]
+
+
+def _check_coalesced(nfa, rng: random.Random) -> None:
+    n = nfa.state_count
+    subsets = _dense(n, rng) + _sparse(n, rng)
+    assert any(s.bit_count() > len(nfa._links) for s in subsets)
+    for states in subsets:
+        assert nfa.reach(states) == follow_union(nfa, states), bin(states)
+        for targets in (rng.getrandbits(n), 1 << rng.randrange(n), states):
+            got = nfa.into(states, targets)
+            assert got == follow_into(nfa, states, targets), bin(states)
+
+
 @pytest.mark.parametrize("e", SHAPES, ids=range(len(SHAPES)))
 def test_link_step_equals_reach_on_dense_subsets(e):
     for nfa in (glushkov(e), glushkov(_padded(e))):
         if nfa.state_count <= 64:
             continue
         assert nfa._table is None and 0 < len(nfa._links) <= len(nfa.links)
-        rng = random.Random(nfa.state_count)
-        subsets = _dense(nfa.state_count, rng)
-        assert any(s.bit_count() > len(nfa._links) for s in subsets)
-        for states in subsets:
-            assert nfa.reach(states) == follow_union(nfa, states), bin(states)
+        _check_coalesced(nfa, random.Random(nfa.state_count))
 
 
 @settings(max_examples=100, deadline=None)
 @given(expressions(), st.integers(0, 2**32))
 def test_link_step_equals_reach_on_random_expressions(e, seed):
-    nfa = glushkov(_padded(e))
-    for states in _dense(nfa.state_count, random.Random(seed)):
-        assert nfa.reach(states) == follow_union(nfa, states), bin(states)
+    for nfa in (glushkov(_padded(e)), glushkov(nullable_run(e))):
+        _check_coalesced(nfa, random.Random(seed))
 
 
 def test_dense_sets_take_the_links_and_sparse_ones_the_member_loop():
@@ -152,51 +179,9 @@ def test_bad_links_are_rejected():
 # --- coalesced links ---------------------------------------------------------------
 
 
-def _e1(*weights):
-    return build_expressions(PartitionInstance(weights))[0]
-
-
-# E1 of the reduction, with weight-1 items and with k = 1: one merged family
-# for its counters, one chain for its nullable items, and the start
-E1_WEIGHTS = [(23, 3, 18, 1, 22, 19, 32, 2), (1,) * 44, (1, 1, 40, 2), (44,), (20,) * 9]
-COALESCED = [
-    *[_e1(*w) for w in E1_WEIGHTS],
-    *map(parse_expr, ["(a|%){0,100}", "(a|b|%){0,70}", "(a b c|%){0,30}"]),
-    # nullable concatenations of width > 1 families, padded past 64 states
-    *map(
-        _padded,
-        map(parse_expr, ["((a b|%) (c d e|%) (f|%)){2,9}", "((a|%) (b c|%)){0,12}"]),
-    ),
-]
-
-
-def _sparse(n: int, rng: random.Random) -> list[int]:
-    """Sets of one to three states, which take the member loop."""
-    return [sum(1 << q for q in rng.sample(range(n), k)) for k in (1, 2, 3) * 5]
-
-
-def _check_coalesced(nfa, rng: random.Random) -> None:
-    n = nfa.state_count
-    subsets = _dense(n, rng) + _sparse(n, rng)
-    assert any(s.bit_count() > len(nfa._links) for s in subsets)
-    for states in subsets:
-        assert nfa.reach(states) == follow_union(nfa, states), bin(states)
-        for targets in (rng.getrandbits(n), 1 << rng.randrange(n), states):
-            got = nfa.into(states, targets)
-            assert got == follow_into(nfa, states, targets), bin(states)
-
-
-@pytest.mark.parametrize("e", COALESCED, ids=range(len(COALESCED)))
-def test_coalesced_step_equals_the_per_state_reading(e):
-    for nfa in (glushkov(e), automaton(e)):
-        assert nfa.state_count > 64 and 0 < len(nfa._links) <= len(nfa.links)
-        _check_links(e)
-        _check_coalesced(nfa, random.Random(nfa.state_count))
-
-
 def test_e1_and_nullable_chains_coalesce_into_few_links():
-    for weights in E1_WEIGHTS:
-        nfa = automaton(_e1(*weights))
+    for weights, e in zip(E1_WEIGHTS, E1S):
+        nfa = automaton(e)
         assert len(nfa.links) > len(weights) + 1 and len(nfa._links) == 3
     for u in (80, 800):
         for body in ("a", "a|b", "a b c"):
@@ -204,13 +189,6 @@ def test_e1_and_nullable_chains_coalesce_into_few_links():
             # u rectangles into one chain; "a b c" keeps its two families
             rectangles = sum(1 for link in nfa.links if not link[1])
             assert rectangles == u and len(nfa._links) == len(nfa.links) - u + 1
-
-
-@settings(max_examples=100, deadline=None)
-@given(expressions(), st.integers(0, 2**32))
-def test_coalesced_step_on_random_nullable_concatenations(e, seed):
-    _check_links(nullable_run(e))
-    _check_coalesced(glushkov(nullable_run(e)), random.Random(seed))
 
 
 def _near_chain(rng: random.Random, n: int) -> list[tuple[int, int]]:
@@ -276,7 +254,10 @@ def _spell_reference(nfa, syms, length):
     return tuple(word)
 
 
-SPELLED = COALESCED + [
+SPELLED = [
+    SHAPES[4],  # (a|%){0,80}
+    *NULLABLE,
+    *E1S,
     parse_expr("(a|b)* a (a|b){3}"),
     parse_expr("((a|b){1,3} (b|c|%)){2,30}"),  # class positions
 ]
