@@ -112,43 +112,40 @@ class _Right:
     A key is a set of right states.  Inclusion keeps each successor subset
     whole as one key (the lazily determinized right side, where the empty
     subset is a rejecting sink); overlap, with ``split``, makes one key per
-    state.  ``rows[k][i]`` caches the ids of the successor keys of key k on
-    symbol i, or is None until first asked for, so the search handles small
-    ids, never rehashes a subset, and steps each key once (``Nfa.reach``,
-    into ``reaches``, which is freed once the key's row is full).
+    state.  ``rows[k][i]`` holds the ids of the successor keys of key k on
+    symbol i.  ``row`` fills the whole row from one ``Nfa.reach`` when the
+    search first expands key k, so the search handles small ids, never
+    rehashes a subset, and steps each key once.
     """
 
     def __init__(self, b: Nfa, masks: list[int], split: bool):
         self.nfa, self.masks, self.split = b, masks, split
         self.ids: dict[int, int] = {}
         self.keys: list[int] = []
-        self.reaches: list[int | None] = []
-        self.rows: list[list[tuple[int, ...] | None]] = []
+        self.rows: list[list[tuple[int, ...]] | None] = []
 
     def intern(self, key: int) -> int:
         k = self.ids.get(key)
         if k is None:
             k = self.ids[key] = len(self.keys)
             self.keys.append(key)
-            self.reaches.append(None)
-            self.rows.append([None] * len(self.masks))
+            self.rows.append(None)
         return k
 
-    def successors(self, k: int, i: int) -> tuple[int, ...]:
-        """Fill in and return ``rows[k][i]``."""
-        reach = self.reaches[k]
-        if reach is None:
-            reach = self.reaches[k] = self.nfa.reach(self.keys[k])
-        targets = reach & self.masks[i]
-        if not self.split:
-            row = (self.intern(targets),)
-        elif not targets & (targets - 1):  # at most one state
-            row = (self.intern(targets),) if targets else ()
-        else:
-            row = tuple([self.intern(1 << r) for r in bits(targets)])
-        self.rows[k][i] = row
-        if None not in self.rows[k]:  # the row holds all the search reads
-            self.reaches[k] = None
+    def row(self, k: int) -> list[tuple[int, ...]]:
+        """``rows[k]``, filled in on first use."""
+        row = self.rows[k]
+        if row is None:
+            reach, intern, row = self.nfa.reach(self.keys[k]), self.intern, []
+            for mask in self.masks:
+                targets = reach & mask
+                if not self.split:
+                    row.append((intern(targets),))
+                elif not targets & (targets - 1):  # at most one state
+                    row.append((intern(targets),) if targets else ())
+                else:
+                    row.append(tuple([intern(1 << r) for r in bits(targets)]))
+            self.rows[k] = row
         return row
 
 
@@ -169,8 +166,9 @@ def _search(
     symbol with one cached move of its whole mask and one cached right row.
     A pair is a goal when q accepts and K rejects (inclusion, ``split``
     false) or K accepts (overlap, ``split`` true).  Every discovered pair is
-    charged to ``state_budget``.  Returns None when no goal is reachable,
-    else the word and whether a pair was dropped.
+    charged to ``state_budget`` as it is added, so a search stops at most
+    one group of left states past its budget.  Returns None when no goal is
+    reachable, else the word and whether a pair was dropped.
 
     With ``prune`` (inclusion only), each new layer is visited by increasing
     key size, and q is dropped from key K when the smallest key kept so far
@@ -184,7 +182,7 @@ def _search(
     """
     a_masks = [a.symbol_masks.get(sym, 0) for sym in syms]
     right = _Right(b, [b.symbol_masks.get(sym, 0) for sym in syms], split)
-    keys, rows, successors = right.keys, right.rows, right.successors
+    keys, rows = right.keys, right.rows
     a_accepting, b_accepting = a.accepting, b.accepting
     moves: dict[int, list[tuple[int, int]]] = {}
     starts = seeds or {0: {1: 1}}  # the initial left state with the initial right key
@@ -202,6 +200,8 @@ def _search(
                 seen[k] = seen.get(k, 0) | new
                 following[k] = following.get(k, 0) | new
                 found += new.bit_count()
+                if found > state_budget:
+                    raise StateBudgetExceeded(state_budget, found, len(layers))
         if prune:
             layer = {}
             for k in sorted(following, key=lambda k: keys[k].bit_count()):
@@ -231,25 +231,22 @@ def _search(
             return None
         following = {}
         for k, states in layer.items():
-            row = rows[k]
+            row = right.row(k)
             move = moves.get(states)
             if move is None:  # (symbol index, successors) per symbol it can read
                 union = a.reach(states)
                 move = [(i, union & m) for i, m in enumerate(a_masks) if union & m]
                 moves[states] = move
             for i, targets in move:
-                nexts = row[i]
-                if nexts is None:
-                    nexts = successors(k, i)
-                for k2 in nexts:
+                for k2 in row[i]:
                     old = seen.get(k2, 0)
                     new = targets & ~old
                     if new:
                         seen[k2] = old | new
                         following[k2] = following.get(k2, 0) | new
                         found += new.bit_count()
-            if found > state_budget:
-                raise StateBudgetExceeded(state_budget, found, len(layers))
+                        if found > state_budget:
+                            raise StateBudgetExceeded(state_budget, found, len(layers))
     return None
 
 

@@ -11,13 +11,17 @@ fold is on the decision path, and its cross-checks are the enumerated
 languages of ``tests/oracle.py`` and the set-based fold of
 ``tests/position_oracle.py``.
 
-The automaton equals that of the counter-free expansion ``expand``, where
-``E{l,u}`` unrolls into l copies of E followed by the nested optional chain
-``(E (E (...)?)?)?`` of depth u-l, not a flat run of u-l copies of
+The automaton has the positions of the counter-free expansion ``expand``,
+where ``E{l,u}`` unrolls into l copies of E followed by the nested optional
+chain ``(E (E (...)?)?)?`` of depth u-l, not a flat run of u-l copies of
 ``(E|%)``, so the last positions of one copy are followed only by the first
 positions of the next and a non-nullable body gives O(u) transitions
 instead of O(u^2) (Brueggemann-Klein, "Regular expressions into finite
-automata", TCS 1993).
+automata", TCS 1993).  A nullable body E is built as E°, L(E) without
+the empty word, since L(E{l,u}) = L(E°{0,u}) and L(E{l,}) = L(E°*); E°
+has E's positions, first, last and follow sets but is not nullable.  So
+every counted body gives O(u) transitions, and the automaton is that of
+the expansion unless a nullable body has more than one copy.
 ``glushkov`` never builds that tree.  It makes one pass over the counted
 tree, analyses each counted body once, lays its copies down by offset and
 adds only the links between copies.  Its size still grows with the counts,
@@ -360,8 +364,8 @@ class Nfa:
     by one multiply.  Read state by state, the links give the follow sets.
     ``reach`` and ``into`` step through them coalesced (``_coalesce``): the
     families of all counters of E1 in the reduction are one shift, and the
-    rectangles between the parts of a nullable concatenation, or between
-    the copies of a nullable body, are one chain.
+    rectangles between the parts of a nullable concatenation, or from the
+    start and a nullable first part, as in ``(a|%) z{64}``, are one chain.
     """
 
     symbols: tuple[Label, ...]
@@ -594,10 +598,11 @@ def position_pass(
     masks unchanged under shifted offsets, and then only the links between
     copies are added, by the rules that concatenation and the nested
     optional chain give on the expanded tree: the last positions of a copy
-    are followed by the first positions of the next copy and, when the body
-    is nullable, of every later one.  With ``counter_blind`` each repetition
-    keeps one copy of its body, and its last positions are followed by its
-    first ones whenever its upper bound allows a second round.  With
+    are followed by the first positions of the next copy.  A nullable body
+    E follows the same rule: ``E{l,u}`` is linked as ``E°{0,u}`` (see the
+    module notes).  With ``counter_blind`` each repetition keeps one copy
+    of its body, and its last positions are followed by its first ones
+    whenever its upper bound allows a second round.  With
     ``record_links`` it also records its links (see ``Nfa``), turning a
     copied body's into families over the copies.  With ``classes`` an
     ``Alt`` of bare symbols with distinct names is one position labelled by
@@ -659,43 +664,32 @@ def position_pass(
                 copies, loop = (low + 1 if low >= 2 else 1), True
             else:  # E^low and the nested optional chain of high - low copies
                 copies, loop = high, False
+            if n:  # E{l,u} is E°{0,u}, and E° has E's sets but is not nullable
+                low = 0
             base = len(symbols) + 1 - m
             if copies > 1:
                 if links is not None:
                     _copy_links(links, base, m, copies)
+                    # one family for every copy but the last
+                    links.append((base, m, _tile(l, m, copies - 1), f << m))
                 body = offsets[base:]
                 symbols.extend(symbols[base - 1 :] * (copies - 1))
                 follow.extend(follow[base:] * (copies - 1))
                 shifts = range(m, copies * m, m)
                 offsets.extend([o and o + s for s in shifts for o in body])
-                if n:
-                    reach = f  # first positions of copy j + 1 and every later copy
-                    for j in range(copies - 2, -1, -1):
-                        start = base + j * m
-                        _link(offsets, follow, links, start, l, start + m, reach)
-                        reach = f | reach << m
-                else:
-                    _link(offsets, follow, None, base, l, base + m, f)
-                    if links is not None:  # one family for every copy but the last
-                        links.append((base, m, _tile(l, m, copies - 1), f << m))
-                    # every copy but the last links to its successor alike
-                    for r in bits(l):
-                        q = base + r
-                        o, stop = offsets[q], q + (copies - 1) * m
-                        offsets[q + m : stop : m] = range(o + m, o + stop - q, m)
-                        follow[q + m : stop : m] = [follow[q]] * (copies - 2)
+                _link(offsets, follow, None, base, l, base + m, f)
+                # every copy but the last links to its successor alike
+                for r in bits(l):
+                    q = base + r
+                    o, stop = offsets[q], q + (copies - 1) * m
+                    offsets[q + m : stop : m] = range(o + m, o + stop - q, m)
+                    follow[q + m : stop : m] = [follow[q]] * (copies - 2)
             if loop:
                 last_copy = base + (copies - 1) * m
                 _link(offsets, follow, links, last_copy, l, last_copy, f)
-            # a word may end in copy max(low, 1) or a later one; with a
-            # nullable body, in any copy
-            skip = 0 if n else min(max(low, 1), copies) - 1
-            done[-1] = (
-                copies * m,
-                n or low == 0,
-                _tile(f, m, copies) if n else f,
-                _tile(l, m, copies - skip) << skip * m,
-            )
+            # a word may end in copy max(low, 1) or a later one
+            skip = min(max(low, 1), copies) - 1
+            done[-1] = (copies * m, low == 0, f, _tile(l, m, copies - skip) << skip * m)
     _, nullable, first, last = done[0]
     if first:
         low = (first & -first).bit_length() - 1
@@ -711,8 +705,10 @@ def glushkov(
 ) -> Nfa:
     """Position automaton of ``e`` under counter expansion, built without it.
 
-    The result equals ``glushkov(expand(e, cap))``: positions in the
-    expansion's document order, the same follow masks and accepting set.
+    The result equals ``glushkov(expand(e, cap))`` unless a nullable
+    counted body has more than one copy: built as its non-empty part (see
+    the module notes), it keeps the positions, symbols, accepting set and
+    language, but its first and follow sets shrink.
     Raises ExpansionCapExceeded exactly when ``expand(e, cap)`` would,
     before anything is built.  The positions counted with the nodes decide
     whether the pass records links, and the automaton keeps them,

@@ -6,7 +6,18 @@ import pytest
 from hypothesis import strategies as st
 
 from crekit import decision
-from crekit.syntax import EPSILON, CountRange, Symbol, alt, concat, rep
+from crekit.syntax import (
+    EPSILON,
+    Concat,
+    CountRange,
+    Epsilon,
+    Rep,
+    Symbol,
+    alt,
+    concat,
+    postorder,
+    rep,
+)
 
 SYMBOLS = ("a", "b", "c")
 
@@ -136,6 +147,33 @@ def follow_into(nfa, states: int, targets: int) -> int:
         if states >> q & 1 and nfa.follow[q] << nfa.offsets[q] & targets:
             out |= 1 << q
     return out
+
+
+def nullable_copies(e) -> bool:
+    """True iff ``e`` has a counted body that is nullable, has a position and
+    is laid down more than once.  The position pass builds such a body as
+    its non-empty part, so its first and follow sets are subsets of those
+    of ``expand(e)``; any other tree is built exactly as its expansion."""
+    done = []  # (nullable, has a position) per subtree
+    for x in postorder(e):
+        t = type(x)
+        if t is Symbol:
+            done.append((False, True))
+        elif t is Epsilon:
+            done.append((True, False))
+        elif t is Rep:
+            nullable, positioned = done[-1]
+            low, high = x.count.low, x.count.high
+            copies = (low + 1 if low >= 2 else 1) if high is None else high
+            if nullable and positioned and copies > 1:
+                return True
+            done[-1] = (nullable or low == 0, positioned)
+        else:
+            k = len(x.parts) if t is Concat else len(x.branches)
+            parts = done[-k:]
+            join = all if t is Concat else any
+            done[-k:] = [(join(n for n, _ in parts), any(p for _, p in parts))]
+    return False
 
 
 def nullable_run(e):

@@ -126,6 +126,13 @@ class TestMemberCommand:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out.strip() == "true"
 
+    def test_nullable_counted_body_in_linear_memory(self):
+        # each copy links only to the next: linking every copy to every
+        # later one would take about 5 * 10^9 follow bits here
+        argv = ("member", "(a|%){0,100000}", "a", "--cap", "1000000")
+        code, out, err = run_guarded(*argv, seconds=10, memory=256 << 20)
+        assert (code, out, err) == (0, "true\n", "")
+
 
 class TestEnumerateCommand:
     def test_lists_words(self, capsys):
@@ -179,6 +186,16 @@ class TestUnambiguousCommand:
         assert code == 1
         assert out.startswith("ambiguous:")
 
+    @pytest.mark.parametrize(
+        "text,locus",
+        [("(a|b)* a", "first-set"), ("(a|b){2,3} a", "follow-set of 1")],
+    )
+    def test_conflict_in_json(self, capsys, text, locus):
+        code, out, _ = run_cli(capsys, "unambiguous", text, "--format", "json")
+        assert code == 1
+        conflict = json.loads(out)["report"]["conflict"]
+        assert conflict == {"symbol": "a", "positions": [1, 3], "locus": locus}
+
 
 class TestDecisionCommands:
     def test_include_holds(self, capsys):
@@ -214,6 +231,19 @@ class TestDecisionCommands:
         code, out, err = run_guarded(*argv)
         assert code == 3 and out == ""
         assert err.startswith("error[STATE_BUDGET]: ") and err.count("\n") == 1
+
+    def test_overlap_of_nullable_counted_bodies_is_decided(self):
+        # one first position per side: 3,000 each would make 9 * 10^6 pairs
+        argv = ("overlap", "(a|%){0,3000}", "(a|%){0,3000} b", "--cap", "1000000")
+        code, out, err = run_guarded(*argv, seconds=10)
+        assert (code, out, err) == (1, "disjoint\n", "")
+
+    def test_equiv_of_a_nullable_counted_body_is_decided(self):
+        # with each copy linked to every later one, the right keys pass a
+        # million pairs by depth 355
+        argv = ("equiv", "a{0,3000}", "(a|%){0,3000}", "--cap", "1000000")
+        code, out, err = run_guarded(*argv, seconds=10)
+        assert (code, out, err) == (0, "equivalent\n", "")
 
     def test_include_huge_unary_right_side_is_decided(self):
         # decided on lengths: the right side is never built, so its

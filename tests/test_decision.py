@@ -5,6 +5,9 @@ from hypothesis import given, settings
 
 from conftest import expressions, random_expr
 from crekit.decision import (
+    EquivalenceVerdict,
+    InclusionVerdict,
+    OverlapVerdict,
     _inclusion,
     equivalent,
     includes,
@@ -14,7 +17,7 @@ from crekit.decision import (
 from crekit.engine import automaton, expand, glushkov, member
 from crekit.errors import StateBudgetExceeded
 from crekit.partition import PartitionInstance, build_expressions
-from crekit.syntax import alt, parse_expr, render_expr
+from crekit.syntax import EPSILON, Symbol, alt, concat, parse_expr, render_expr
 from oracle import (
     brute_language,
     glushkov_is_deterministic,
@@ -67,6 +70,21 @@ class TestIncludes:
         assert (exc.budget, exc.found, exc.depth) == (5, 6, 5)
         assert str(exc) == "product-state budget of 5 exceeded: 6 pairs found by depth 5"
         assert includes(e, e, state_budget=5).holds  # decided on lengths
+
+    def test_budget_is_charged_where_pairs_are_added(self):
+        # 1,501 first positions on each side: stepping the initial key whole
+        # before checking would find 2,250,001 pairs by depth 1
+        part = alt([Symbol("a"), EPSILON])
+        left = concat([part] * 1500 + [Symbol("c")])
+        right = concat([part] * 1500 + [Symbol("d")])
+        with pytest.raises(StateBudgetExceeded) as caught:
+            overlaps(left, right, state_budget=1000)
+        assert caught.value.found <= 1000 + automaton(left).state_count
+        # the initial pair is charged as it is seeded
+        e = automaton(parse_expr("a{0,10}"))
+        with pytest.raises(StateBudgetExceeded) as caught:
+            _inclusion(e, e, ("a",), 0)
+        assert (caught.value.found, caught.value.depth) == (1, 0)
 
     def test_witness_follows_every_pair_of_an_access_word(self):
         # "c" reaches several left states; the children of a later one on the
@@ -160,6 +178,22 @@ class TestEquivalent:
 
     def test_expansion_identity(self):
         assert equivalent(parse_expr("a{2,3}"), parse_expr("a a(a|%)")).equivalent
+
+
+@pytest.mark.parametrize(
+    "verdict,fields",
+    [
+        (InclusionVerdict, {"holds": True, "witness": ("a",)}),
+        (InclusionVerdict, {"holds": False}),
+        (OverlapVerdict, {"overlaps": True}),
+        (OverlapVerdict, {"overlaps": False, "witness": ()}),
+        (EquivalenceVerdict, {"equivalent": True, "side": "left"}),
+        (EquivalenceVerdict, {"equivalent": False}),
+    ],
+)
+def test_verdicts_reject_a_witness_that_does_not_fit(verdict, fields):
+    with pytest.raises(ValueError):
+        verdict(**fields)
 
 
 class TestUnionAlphabet:

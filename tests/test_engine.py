@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expressions, make_corpus, nested_groups, sugar_expressions
+from conftest import (
+    count_ranges,
+    expressions,
+    make_corpus,
+    nested_groups,
+    nullable_copies,
+    sugar_expressions,
+)
 from crekit import engine
 from crekit.decision import equivalent, includes
 from crekit.engine import (
@@ -35,9 +42,12 @@ from crekit.syntax import (
     Rep,
     Symbol,
     alphabet_of,
+    alt,
+    concat,
     parse_expr,
     postorder,
     render_expr,
+    rep,
 )
 from oracle import all_words, brute_language, occurrence_count
 from position_oracle import positions_reference
@@ -199,11 +209,25 @@ def reference_view(e):
     return ref.symbols, [set(f) for f in ref.follow], accepting
 
 
-def assert_built_as_expanded(e, cap=100_000):
+def assert_built_as_expanded(e, cap=100_000, max_len=5):
+    """``glushkov(e)`` is the automaton of ``expand(e)`` when no nullable
+    counted body has more than one copy.  Otherwise each such body is built
+    as its non-empty part, E{l,u} as E°{0,u}: the same positions, symbols
+    and accepting set, first and follow sets within the expansion's, and
+    the same language."""
     expanded = expand(e, cap)
     nfa = glushkov(e, cap)
-    assert nfa == glushkov(expanded)
-    assert set_view(nfa) == reference_view(expanded)
+    if not nullable_copies(e):
+        assert nfa == glushkov(expanded)
+        assert set_view(nfa) == reference_view(expanded)
+        return
+    symbols, follow, accepting = set_view(nfa)
+    want_symbols, want_follow, want_accepting = reference_view(expanded)
+    assert (symbols, accepting) == (want_symbols, want_accepting)
+    assert len(follow) == len(want_follow)
+    assert all(got <= want for got, want in zip(follow, want_follow))
+    words = all_words(alphabet_of(e), max_len)
+    assert {w for w in words if nfa.accepts(w)} == brute_language(e, max_len)
 
 
 LADDER_EXPRESSIONS = [
@@ -245,6 +269,32 @@ class TestCountedGlushkov:
     @pytest.mark.parametrize("e", LADDER_EXPRESSIONS)
     def test_partition_ladder(self, e):
         assert_built_as_expanded(e)
+
+    @pytest.mark.parametrize("u", [2, 50, 3000])
+    def test_nullable_copies_link_only_to_the_next(self, u):
+        # the expansion links each copy to every later one: u(u - 1)/2 pairs
+        _, follow, accepting = set_view(glushkov(parse_expr(f"(a|%){{0,{u}}}")))
+        assert follow[0] == {1}
+        assert sum(len(f) for f in follow[1:]) == u - 1
+        assert accepting == set(range(u + 1))
+
+    def test_last_nullable_copy_loops(self):
+        _, follow, accepting = set_view(glushkov(parse_expr("(a?){3,}")))
+        assert follow == [{1}, {2}, {3}, {4}, {4}]
+        assert accepting == {0, 1, 2, 3, 4}
+
+    @given(expressions(), count_ranges(), count_ranges(), st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_nullable_bodies_keep_their_language(self, e, inner, outer, nested, pair):
+        body = alt([e, EPSILON])
+        if pair:  # a nullable concatenation
+            body = concat([body, alt([B, EPSILON])])
+        x = rep(body, inner.low, inner.high)
+        if nested:
+            x = rep(x, outer.low, outer.high)
+        words = enumerate_words(x, 5)
+        assert len(words) == len(set(words))
+        assert set(words) == brute_language(x, 5)
 
 
 PARTITION_50 = build_expressions(PartitionInstance((20,) * 50))
@@ -454,6 +504,10 @@ class TestLengthSet:
         got = length_set(parse_expr("a{9,9}"), 3)
         assert got.members == frozenset()
         assert got.saturated
+
+    def test_cutoff_must_be_positive(self):
+        with pytest.raises(ValueError):
+            length_set(parse_expr("a"), 0)
 
     @given(expressions())
     @settings(max_examples=100, deadline=None)

@@ -186,9 +186,18 @@ def test_e1_and_nullable_chains_coalesce_into_few_links():
     for u in (80, 800):
         for body in ("a", "a|b", "a b c"):
             nfa = glushkov(parse_expr(f"({body}|%){{0,{u}}}"))
-            # u rectangles into one chain; "a b c" keeps its two families
+            # the copies link by one family; "a b c" keeps its two families
             rectangles = sum(1 for link in nfa.links if not link[1])
-            assert rectangles == u and len(nfa._links) == len(nfa.links) - u + 1
+            assert rectangles == 1 and len(nfa._links) == len(nfa.links)
+    for text in ["(a b|%) (c d e|%) (f|%)", "(a|%)"]:  # nullable sequences chain
+        nfa = glushkov(_padded(parse_expr(text)))
+        assert len(nfa._links) < len(nfa.links)
+
+
+def test_nullable_copies_keep_a_fixed_number_of_links():
+    # one family for the copies and the start, however many copies
+    for u in (65, 100, 1000, 20_000):
+        assert len(glushkov(parse_expr(f"(a|%){{0,{u}}}"), cap=10**6).links) == 2
 
 
 def _near_chain(rng: random.Random, n: int) -> list[tuple[int, int]]:

@@ -204,6 +204,28 @@ class TestFactories:
         with pytest.raises(ValueError):
             Rep(EPSILON, CountRange(1, 2))
 
+    @pytest.mark.parametrize(
+        "build,error",
+        [
+            (lambda: Concat((Symbol("a"),)), ValueError),
+            (lambda: Alt((Symbol("a"),)), ValueError),
+            (lambda: alt([]), ValueError),
+            (lambda: Symbol("1a"), ValueError),
+            (lambda: CountRange(-1, 2), InvalidCountError),
+        ],
+        ids=["one-part", "one-branch", "no-branch", "bad-name", "negative-low"],
+    )
+    def test_raw_constructors_reject_malformed(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    def test_concat_of_nothing_is_epsilon(self):
+        assert concat([]) == EPSILON
+
+    def test_postorder_rejects_a_non_expression(self):
+        with pytest.raises(TypeError):
+            postorder(Concat((Symbol("a"), "b")))
+
     def test_rep_factory_normalizes_epsilon(self):
         assert rep(EPSILON, 2, 3) == EPSILON
         with pytest.raises(InvalidCountError):
