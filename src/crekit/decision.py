@@ -94,10 +94,14 @@ class EquivalenceVerdict:
 
     equivalent: bool
     witness: Word | None = None
-    side: str | None = None  # "left" | "right"
+    side: str | None = None  # "left" | "right" exactly when unequal
 
     def __post_init__(self):
-        if self.equivalent != (self.witness is None and self.side is None):
+        if self.equivalent:
+            fits = self.witness is None and self.side is None
+        else:
+            fits = self.witness is not None and self.side in ("left", "right")
+        if not fits:
             raise ValueError("witness and side must be present exactly when unequal")
 
 
@@ -320,7 +324,7 @@ def _inclusion(a: Nfa, b: Nfa, syms: tuple[str, ...], state_budget: int) -> Word
     return _search(a, b, syms, False, state_budget)[0]
 
 
-def _fixes_only_lengths(order: list[Expr], syms: tuple[str, ...]) -> bool:
+def _fixes_only_lengths(order: tuple[Expr, ...], syms: tuple[str, ...]) -> bool:
     """True iff each position of the automaton of ``order`` is entered on
     every symbol of ``syms``: it is a class of exactly those names, or syms
     has at most one symbol."""

@@ -47,8 +47,10 @@ so that a run of rectangles over a nullable sequence is one chain.
 ``Nfa.reach`` is the one subset step of membership, enumeration and every
 decision: it steps dense subsets through the coalesced links, and subsets
 of at most 64 states through a byte table kept on the automaton;
-``Nfa.into`` reads the same links backwards.  Every tree walk here runs on
-``syntax.postorder`` instead of recursion.
+``Nfa.into`` reads the same links backwards.  Every tree walk here
+evaluates the node tuple of ``syntax.postorder`` instead of recursing, and
+that walk is remembered for the last tree, so the build, the length fold
+and the unambiguity check of one tree share it.
 
 ``automaton(e, cap)`` is the one place that calls ``glushkov``, with class
 positions, and every query on a tree (``member``, ``language_iter``,
@@ -121,7 +123,7 @@ def node_count(e: Expr) -> int:
 # --- counter expansion -------------------------------------------------------
 
 
-def _expansion_sizes(order: list[Expr]) -> tuple[int, int]:
+def _expansion_sizes(order: tuple[Expr, ...]) -> tuple[int, int]:
     """(nodes, positions) of expand(e) before flattening, from postorder(e).
 
     Pure arithmetic; the positions are those ``position_pass`` gives e.
@@ -148,7 +150,7 @@ def _expansion_sizes(order: list[Expr]) -> tuple[int, int]:
     return done[0]
 
 
-def _check_cap(order: list[Expr], cap: int) -> int:
+def _check_cap(order: tuple[Expr, ...], cap: int) -> int:
     """The positions of the expansion of ``order``, if it has at most ``cap`` nodes."""
     nodes, positions = _expansion_sizes(order)
     if nodes > cap:
@@ -584,7 +586,7 @@ def _is_class(x: Alt) -> bool:
 
 
 def position_pass(
-    order: list[Expr],
+    order: tuple[Expr, ...],
     counter_blind: bool,
     record_links: bool = False,
     classes: bool = False,
@@ -646,7 +648,11 @@ def position_pass(
             size, nullable, first, last = done[-k]
             for m, n, f, l in done[1 - k :]:
                 if last and f:
-                    _link(offsets, follow, links, base, last, base + size, f)
+                    # from the lowest last position: on a long run of parts
+                    # that are not nullable, ``last`` is one wide bit
+                    low = _bottom(last)
+                    to = base + size
+                    _link(offsets, follow, links, base + low, last >> low, to, f)
                 if nullable:
                     first |= f << size
                 last = last | l << size if n else l << size
@@ -876,7 +882,7 @@ def _power(s: int, k: int, full: int, out: int = 1) -> int:
     return out
 
 
-def length_bits(order: list[Expr], cutoff: int) -> tuple[int, int]:
+def length_bits(order: tuple[Expr, ...], cutoff: int) -> tuple[int, int]:
     """The word lengths up to ``cutoff`` of the tree whose ``postorder`` is
     ``order``, as a bitset with bit i for length i, and a bound that exceeds
     ``cutoff`` exactly when a word does: the longest word's length, clipped

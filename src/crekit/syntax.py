@@ -23,21 +23,23 @@ A symbol lexeme is a letter followed by letters or digits, so ``a0`` and
 whitespace (``a b``, not ``ab`` -- the latter is one two-letter symbol).
 Whitespace is otherwise insignificant.
 
-The parser is one loop over the token list that keeps each open group on an
-explicit stack, and every walk over a tree evaluates ``postorder`` with a
-value stack, so the nesting depth of an expression is bounded by memory,
-not by the recursion limit.  (The generated dataclass ``==``, ``hash`` and
-``repr`` of the nodes still recurse.)
+The parser is one loop over a list of plain ``(kind, text, position)``
+token tuples that keeps each open group on an explicit stack, and every
+walk over a tree evaluates the node tuple of ``postorder`` with a value
+stack, so the nesting depth of an expression is bounded by memory, not by
+the recursion limit.  (The generated dataclass ``==``, ``hash`` and
+``repr`` of the nodes still recurse.)  A parse makes one ``Symbol`` node
+per name and shares it wherever the name occurs.
 
-All AST values are immutable and structurally comparable; every function
-here is pure.
+All AST values are immutable and structurally comparable, and every
+function here is pure.  ``postorder`` remembers its last walk (see there),
+which changes what stays in memory, never a result.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import ExprSyntaxError, InvalidCountError, int_digit_limit
 
@@ -174,17 +176,7 @@ def rep(inner: Expr, low: int, high: int | None) -> Expr:
     return Rep(inner, count)
 
 
-def postorder(e: Expr) -> list[Expr]:
-    """The nodes of ``e``, children before parents, left to right.
-
-    Symbols therefore come in document order, and a shared subtree is listed
-    once per occurrence.  The walk keeps its own stack, so the depth of an
-    expression is bounded by memory rather than by the recursion limit:
-    parsed text may nest groups arbitrarily, and counter expansion nests one
-    level per optional copy.  Every tree walk in crekit (rendering, length
-    sets, counter expansion, position analysis) evaluates this list with a
-    value stack, where a node with k children replaces the top k values.
-    """
+def _walk(e: Expr) -> tuple[Expr, ...]:
     order: list[Expr] = []
     todo = [e]
     while todo:
@@ -202,6 +194,36 @@ def postorder(e: Expr) -> list[Expr]:
         elif t is not Symbol and t is not Epsilon:
             raise TypeError(f"not an Expr: {x!r}")
     order.reverse()
+    return tuple(order)
+
+
+# The root and node tuple of the last ``postorder`` walk.
+_last_walk: tuple[Expr, tuple[Expr, ...]] | None = None
+
+
+def postorder(e: Expr) -> tuple[Expr, ...]:
+    """The nodes of ``e``, children before parents, left to right.
+
+    Symbols therefore come in document order, and a shared subtree is listed
+    once per occurrence.  The walk keeps its own stack, so the depth of an
+    expression is bounded by memory rather than by the recursion limit:
+    parsed text may nest groups arbitrarily, and counter expansion nests one
+    level per optional copy.  Every tree walk in crekit (rendering, length
+    sets, counter expansion, position analysis) evaluates this tuple with a
+    value stack, where a node with k children replaces the top k values.
+
+    The last tree walked is remembered by identity, as ``engine.automaton``
+    remembers its last build, so the queries that follow on one tree share
+    one walk.  The remembered walk is one tuple, read and replaced whole,
+    and it keeps that tree and its nodes alive until the next walk.
+    """
+    global _last_walk
+    last = _last_walk
+    if last is not None and last[0] is e:
+        return last[1]
+    _last_walk = None  # let the old walk go before making the next one
+    order = _walk(e)
+    _last_walk = (e, order)
     return order
 
 
@@ -224,34 +246,36 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token(NamedTuple):
-    kind: str  # "symbol" | "int" | one of the punctuation characters | "eof"
-    text: str
-    pos: int
+_Token = tuple[str, str, int]  # kind, text, position
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``, then an "eof" token.
+
+    A token's kind is "symbol", "int" or the punctuation character itself.
+    """
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind, lexeme = m.lastgroup, m.group()
         if kind == "bad":
             raise ExprSyntaxError(f"unexpected character {lexeme!r}", m.start())
-        tokens.append(_Token(lexeme if kind == "punct" else kind, lexeme, m.start()))
-    tokens.append(_Token("eof", "", len(text)))
+        tokens.append((lexeme if kind == "punct" else kind, lexeme, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 _SUGAR = {"?": (0, 1), "*": (0, UNBOUNDED), "+": (1, UNBOUNDED)}
+_COUNT_START = ("{", "?", "*", "+")
 _ATOM_START = ("symbol", "%", "(")
 
 
 def _expect(tokens: list[_Token], i: int, kind: str) -> str:
-    tok = tokens[i]
-    if tok.kind != kind:
+    found, text, pos = tokens[i]
+    if found != kind:
         raise ExprSyntaxError(
-            f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos
+            f"expected {kind!r}, found {text or 'end of input'!r}", pos
         )
-    return tok.text
+    return text
 
 
 def _int(tokens: list[_Token], i: int) -> int:
@@ -262,28 +286,24 @@ def _int(tokens: list[_Token], i: int) -> int:
     text = _expect(tokens, i, "int")
     limit = int_digit_limit()
     if limit and len(text) > limit:
-        raise InvalidCountError(f"count has more than {limit} digits", tokens[i].pos)
+        raise InvalidCountError(f"count has more than {limit} digits", tokens[i][2])
     return int(text)
 
 
-def _count(
-    tokens: list[_Token], i: int
-) -> tuple[tuple[int, int | None] | None, int]:
-    """Read at most one occurrence indicator, starting at tokens[i].
+def _count(tokens: list[_Token], i: int) -> tuple[tuple[int, int | None], int]:
+    """Read the occurrence indicator that starts at tokens[i], whose kind is
+    in ``_COUNT_START``.
 
-    Returns its bounds (low, high), or None when there is none, and the
-    index of the next token.
+    Returns its bounds (low, high) and the index of the next token.
     """
-    kind = tokens[i].kind
-    if kind in _SUGAR:
-        return _SUGAR[kind], i + 1
+    kind = tokens[i][0]
     if kind != "{":
-        return None, i
+        return _SUGAR[kind], i + 1
     low = _int(tokens, i + 1)
-    if tokens[i + 2].kind == "}":
+    if tokens[i + 2][0] == "}":
         return (low, low), i + 3
     _expect(tokens, i + 2, ",")
-    if tokens[i + 3].kind == "}":
+    if tokens[i + 3][0] == "}":
         return (low, UNBOUNDED), i + 4
     high = _int(tokens, i + 3)
     _expect(tokens, i + 4, "}")
@@ -298,50 +318,53 @@ def parse_expr(text: str) -> Expr:
     long to convert.
     """
     tokens = _tokenize(text)
+    names: dict[str, Symbol] = {}  # one node per symbol name
     groups: list[tuple[list[Expr], list[Expr]]] = []  # enclosing (branches, parts)
     branches: list[Expr] = []  # finished branches of the innermost open group
     parts: list[Expr] = []  # finished parts of its current branch
     i = 0
     while True:
-        tok = tokens[i]
+        kind, lexeme, pos = tokens[i]
         i += 1
-        if tok.kind == "(":
+        if kind == "(":
             groups.append((branches, parts))
             branches, parts = [], []
             continue
-        if tok.kind == "symbol":
-            atom = Symbol(tok.text)
-        elif tok.kind == "%":
+        if kind == "symbol":
+            atom = names.get(lexeme)
+            if atom is None:
+                atom = names[lexeme] = Symbol(lexeme)
+        elif kind == "%":
             atom = EPSILON
         else:
             raise ExprSyntaxError(
-                f"expected a symbol, '%' or '(', found {tok.text or 'end of input'!r}",
-                tok.pos,
+                f"expected a symbol, '%' or '(', found {lexeme or 'end of input'!r}",
+                pos,
             )
         # An atom is complete: take its count, then close every group that
         # ends here; each closed group is an atom that may carry a count.
         while True:
-            pos = tokens[i].pos
-            count, i = _count(tokens, i)
-            if count is not None:
+            kind, lexeme, pos = tokens[i]
+            if kind in _COUNT_START:
+                count, i = _count(tokens, i)
                 try:
                     atom = rep(atom, *count)
                 except InvalidCountError as exc:
                     raise InvalidCountError(str(exc), pos) from None
+                kind, lexeme, pos = tokens[i]
             parts.append(atom)
-            tok = tokens[i]
-            if tok.kind in _ATOM_START:
+            if kind in _ATOM_START:
                 break
-            branches.append(concat(parts))
+            branches.append(parts[0] if len(parts) == 1 else concat(parts))
             parts = []
-            if tok.kind == "|":
+            if kind == "|":
                 i += 1
                 break
-            atom = alt(branches)
+            atom = branches[0] if len(branches) == 1 else alt(branches)
             if not groups:
-                if tok.kind != "eof":
+                if kind != "eof":
                     raise ExprSyntaxError(
-                        f"unexpected {tok.text!r} after expression", tok.pos
+                        f"unexpected {lexeme!r} after expression", pos
                     )
                 return atom
             _expect(tokens, i, ")")

@@ -52,7 +52,7 @@ class UnambiguityVerdict:
             raise ValueError("conflict must be present exactly when ambiguous")
 
 
-def _single_occurrence(order: list[Expr]) -> bool:
+def _single_occurrence(order: tuple[Expr, ...]) -> bool:
     names = [x.name for x in order if type(x) is Symbol]
     return len(names) == len(set(names))
 

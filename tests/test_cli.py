@@ -196,6 +196,14 @@ class TestUnambiguousCommand:
         conflict = json.loads(out)["report"]["conflict"]
         assert conflict == {"symbol": "a", "positions": [1, 3], "locus": locus}
 
+    def test_long_concatenation_in_bounded_time(self, tmp_path):
+        # each part links from the last position of the run so far: taken
+        # relative to the run's start, that one bit is as wide as the run
+        path = tmp_path / "expr.txt"
+        path.write_text(" ".join(["a"] * 200_000))
+        code, out, err = run_guarded("unambiguous", f"@{path}", seconds=10)
+        assert (code, out, err) == (0, "unambiguous\n", "")
+
 
 class TestDecisionCommands:
     def test_include_holds(self, capsys):

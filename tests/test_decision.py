@@ -189,6 +189,9 @@ class TestEquivalent:
         (OverlapVerdict, {"overlaps": False, "witness": ()}),
         (EquivalenceVerdict, {"equivalent": True, "side": "left"}),
         (EquivalenceVerdict, {"equivalent": False}),
+        (EquivalenceVerdict, {"equivalent": False, "witness": ("a",)}),
+        (EquivalenceVerdict, {"equivalent": False, "side": "left"}),
+        (EquivalenceVerdict, {"equivalent": False, "witness": (), "side": "middle"}),
     ],
 )
 def test_verdicts_reject_a_witness_that_does_not_fit(verdict, fields):

@@ -14,6 +14,10 @@ steps subsets through ``Nfa.reach`` and ``Nfa.into``, so a change of
 storage or of the step stays inside ``engine``.  The same kind of guard
 lists every read of those attributes, as ``x.follow``, outside it.
 
+``syntax.postorder`` remembers the last tree it walked in the same way,
+so a query that parses a text and then renders it, checks unambiguity,
+takes lengths, enumerates and tests members walks its tree once.
+
 A second guard keeps each oracle independent of the code it checks:
 ``position_oracle.py`` imports nothing from ``crekit.engine``, which holds
 the position pass, and ``oracle.py`` nothing from ``crekit.decision``,
@@ -26,6 +30,7 @@ from pathlib import Path
 import pytest
 
 import crekit
+from crekit import syntax
 
 SRC = Path(crekit.__file__).parent
 TESTS = Path(__file__).parent
@@ -161,3 +166,18 @@ def test_guard_sees_imports():
 def test_oracle_imports_nothing_it_checks(oracle):
     tree = ast.parse((TESTS / oracle).read_text(encoding="utf-8"), oracle)
     assert ORACLES[oracle] not in imported_from(tree)
+
+
+@pytest.mark.parametrize("text", ["(a b{2,3}|c)* a", "a{2,} (b|%) a", "(a|b) c{0,4}"])
+def test_a_corpus_query_walks_its_tree_once(monkeypatch, text):
+    walks = []
+    walk = syntax._walk
+    monkeypatch.setattr(syntax, "_walk", lambda e: walks.append(e) or walk(e))
+    e = crekit.parse_expr(text)
+    crekit.render_expr(e)
+    crekit.check_unambiguous(e)
+    crekit.length_set(e, 6)
+    crekit.enumerate_words(e, 6)
+    for word in [("a",), ("a", "b", "a"), ()]:
+        crekit.member(e, word)
+    assert len(walks) == 1 and walks[0] is e

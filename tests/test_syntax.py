@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 
 from conftest import DEEP, expressions, nested_groups, rendered_groups
+from crekit import syntax
+from crekit.engine import glushkov
 from crekit.errors import ExprSyntaxError, InvalidCountError
 from crekit.syntax import (
     EPSILON,
@@ -33,6 +35,10 @@ PARSE_ERRORS = {
     "a{": "expected 'int', found 'end of input' (at position 2)",
     "a{2": "expected ',', found 'end of input' (at position 3)",
     "a{2,3": "expected '}', found 'end of input' (at position 5)",
+    "a{1,": "expected 'int', found 'end of input' (at position 4)",
+    "a{2,1}": "lower count 2 exceeds upper count 1 (at position 1)",
+    "(a": "expected ')', found 'end of input' (at position 2)",
+    "a $": "unexpected character '$' (at position 2)",
     "{2}": f"{NO_ATOM} '{{' (at position 0)",
     "a++b": "unexpected '+' after expression (at position 2)",
     "a$": "unexpected character '$' (at position 1)",
@@ -119,9 +125,10 @@ class TestParse:
     def test_errors_carry_position(self, text):
         with pytest.raises((ExprSyntaxError, InvalidCountError)) as info:
             parse_expr(text)
-        assert info.value.position is not None
-        assert 0 <= info.value.position <= len(text)
+        position = info.value.position
+        assert position is not None and 0 <= position <= len(text)
         assert str(info.value) == PARSE_ERRORS[text]
+        assert str(info.value).endswith(f" (at position {position})")
 
     def test_deep_nesting(self):
         # compare text and counts: the dataclass == and repr of nodes recurse
@@ -225,6 +232,44 @@ class TestFactories:
     def test_postorder_rejects_a_non_expression(self):
         with pytest.raises(TypeError):
             postorder(Concat((Symbol("a"), "b")))
+
+
+class TestPostorder:
+    def test_is_a_tuple(self):
+        e = parse_expr("a (b|c){2,3}")
+        order = postorder(e)
+        assert type(order) is tuple and order[-1] is e
+        assert [type(x).__name__ for x in order] == [
+            "Symbol", "Symbol", "Symbol", "Alt", "Rep", "Concat"
+        ]
+
+    def test_equal_trees_walked_alternately_keep_their_own_nodes(self):
+        one, two = parse_expr("a (b|c)"), parse_expr("a (b|c)")
+        assert one == two and one is not two
+        for _ in range(2):
+            for e in (one, two):
+                order = postorder(e)
+                assert order[-1] is e and order[0] is e.parts[0]
+                assert order[2] is e.parts[1].branches[1]
+
+    def test_a_failed_walk_is_not_remembered(self, monkeypatch):
+        walks = []
+        walk = syntax._walk
+        monkeypatch.setattr(syntax, "_walk", lambda e: walks.append(e) or walk(e))
+        good, bad = parse_expr("a b"), Concat((Symbol("a"), "b"))
+        postorder(good)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                postorder(bad)
+        assert postorder(good)[-1] is good
+        assert [id(x) for x in walks] == [id(good), id(bad), id(bad), id(good)]
+
+    def test_a_parse_makes_one_symbol_per_name(self):
+        e = parse_expr("a b a")
+        a, b, again = e.parts
+        assert a is again and a is not b
+        assert [x for x in postorder(e) if type(x) is Symbol] == [a, b, a]
+        assert glushkov(e).symbols == ("a", "b", "a")
 
     def test_rep_factory_normalizes_epsilon(self):
         assert rep(EPSILON, 2, 3) == EPSILON
