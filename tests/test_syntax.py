@@ -233,6 +233,11 @@ class TestFactories:
         with pytest.raises(TypeError):
             postorder(Concat((Symbol("a"), "b")))
 
+    def test_rep_factory_normalizes_epsilon(self):
+        assert rep(EPSILON, 2, 3) == EPSILON
+        with pytest.raises(InvalidCountError):
+            rep(EPSILON, 3, 2)  # count is validated before normalization
+
 
 class TestPostorder:
     def test_is_a_tuple(self):
@@ -270,11 +275,6 @@ class TestPostorder:
         assert a is again and a is not b
         assert [x for x in postorder(e) if type(x) is Symbol] == [a, b, a]
         assert glushkov(e).symbols == ("a", "b", "a")
-
-    def test_rep_factory_normalizes_epsilon(self):
-        assert rep(EPSILON, 2, 3) == EPSILON
-        with pytest.raises(InvalidCountError):
-            rep(EPSILON, 3, 2)  # count is validated before normalization
 
 
 class TestAlphabet:
