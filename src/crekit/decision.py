@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 from .engine import (
     DEFAULT_EXPANSION_CAP,
+    NARROW_STATES,
     Nfa,
     Word,
     _check_cap,
@@ -299,15 +300,16 @@ def _witness(a: Nfa, a_masks, syms, layers, goals, rows, moves) -> Word:
 
 
 def _inclusion(a: Nfa, b: Nfa, syms: tuple[str, ...], state_budget: int) -> Word | None:
-    """``_search`` for L(a) <= L(b), pruned when ``b`` has at most 64 states
-    (wider keys paid for the bookkeeping and dropped nothing).  After a
-    drop, the pruned word w is a shortest witness, and a smaller one leaves
-    w at some t on a smaller symbol s.  A departure search seeded at each
-    depth t + 1 with the pairs ``w[:t] s`` reaches looks for one (a pair
-    first seen at a smaller depth cannot lead to a goal that deep); only if
-    it meets a goal is the search run unpruned.  Each charges its own pairs.
+    """``_search`` for L(a) <= L(b), pruned when ``b`` has at most
+    ``NARROW_STATES`` states (wider keys paid for the bookkeeping and
+    dropped nothing).  After a drop, the pruned word w is a shortest
+    witness, and a smaller one leaves w at some t on a smaller symbol s.  A
+    departure search seeded at each depth t + 1 with the pairs ``w[:t] s``
+    reaches looks for one (a pair first seen at a smaller depth cannot lead
+    to a goal that deep); only if it meets a goal is the search run
+    unpruned.  Each charges its own pairs.
     """
-    found = _search(a, b, syms, False, state_budget, b.state_count <= 64)
+    found = _search(a, b, syms, False, state_budget, b.state_count <= NARROW_STATES)
     if found is None or not found[1]:
         return found and found[0]
     word, seeds, left, key = found[0], {}, 1, 1

@@ -42,8 +42,9 @@ Tillmann, "Rex", ICST 2010), so its subsets are k + 1 times narrower.
 An automaton of more than 64 states also keeps the links the pass adds as
 data, ``Nfa.links``: rectangles, and strided families that stand for all
 copies of a body at once (Chang and Paige, "From regular expressions to
-DFA's using compressed NFA's", TCS 1997), and coalesces them once built,
-so that a run of rectangles over a nullable sequence is one chain.
+DFA's using compressed NFA's", TCS 1997).  It coalesces them once built:
+a run of rectangles over a nullable sequence is one chain, and every other
+link a family, merged with those whose fields line up.
 ``Nfa.reach`` is the one subset step of membership, enumeration and every
 decision: it steps dense subsets through the coalesced links, and subsets
 of at most 64 states through a byte table kept on the automaton;
@@ -92,6 +93,9 @@ from .syntax import (
 
 DEFAULT_EXPANSION_CAP = 100_000
 DEFAULT_WORD_LIMIT = 100_000
+# The most states of a narrow automaton: it steps through a byte table and
+# keeps no links, and an inclusion search against it prunes its layers.
+NARROW_STATES = 64
 
 Word = tuple[str, ...]
 
@@ -264,79 +268,75 @@ def _bottom(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _continues(kind: int, s0: int, t0: int, s: int, t: int) -> int:
-    """The kind of chain in which rectangle ``(s, t)`` may follow ``(s0, t0)``
-    (absolute sets, ``s`` not below ``s0``), or 0.  Kind 1: the sources
-    nest, each adding only states above the last, and the targets are
-    disjoint and ascending.  Kind 2: the sources are disjoint and ascending,
-    and the targets nest, each dropping only states below the rest.  ``kind``
-    is the chain's kind so far, or 0 for a chain of one."""
-    if kind != 2 and s & s0 == s0:
-        new = s ^ s0
-        above = not new or _bottom(new) > _top(s0)
-        return 1 if above and _bottom(t) > _top(t0) else 0
-    if kind != 1 and _bottom(s) > _top(s0) and t != t0:  # t within t0 follows
-        return 2 if _bottom(t) > _top(t0 ^ t) else 0
-    return 0
+def _continues(o0: int, s0: int, t0: int, o: int, s: int, t: int) -> bool:
+    """True iff rectangle ``(o, s, t)`` may follow ``(o0, s0, t0)`` in a
+    chain, each rectangle's sets relative to its origin: the sources nest,
+    each adding only states above the last, and the targets are disjoint
+    and ascending.  Nested sources share their lowest state, so both are
+    compared shifted down to it."""
+    b0, b = _bottom(s0), _bottom(s)
+    if o0 + b0 != o + b or o + _bottom(t) <= o0 + _top(t0):
+        return False
+    s0 >>= b0
+    return s >> b & (2 << _top(s0)) - 1 == s0
 
 
-def _chain(run: list[tuple[int, int]]) -> tuple[int, int, int, tuple, tuple, tuple]:
-    """One step entry for a run of rectangles in a chain (see ``_continues``).
+def _chain(run: list[tuple[int, int, int]]) -> tuple[int, int, int, tuple, tuple, tuple]:
+    """One step entry for a run of rectangles ``(origin, sources, targets)``
+    in a chain (see ``_continues``), relative to the lowest origin.
 
-    Let j be the first rectangle that holds the lowest source a set meets,
-    found by bisecting ``tops``, the top source of each rectangle.  In kind
-    1 the set meets every rectangle from j on; in kind 2 it meets j and
-    perhaps later ones, whose targets lie within j's.  Either way it
-    reaches ``suffix[j]``, the union of the targets from j on.  Read
-    backwards, the targets that ``suffix[j]`` adds to ``suffix[j + 1]``
-    ascend with j, so the top target a set hits, bisected in ``parts``,
-    names the last rectangle whose targets it meets, and the sources up to
-    that rectangle's top source are the ones that reach the set.  A lone
-    rectangle is a chain of one."""
-    suffix, parts, after = [], [], 0
-    for _, t in reversed(run):
-        parts.append(_top(t & ~after))
-        after |= t
-        suffix.append(after)
-    sources = 0
-    for s, _ in run:
-        sources |= s
-    tops = tuple([_top(s) for s, _ in run])
-    return 0, 0, sources, tuple(suffix[::-1]), tops, tuple(parts[::-1])
+    A set meets every rectangle from the first that holds its lowest
+    source hit, j, found by bisecting ``tops``, the top source of each
+    rectangle, and reaches ``suffix[j]``, the union of the targets from j
+    on.  Read backwards, the top target a set hits, bisected in ``parts``,
+    the top target of each rectangle, names the last rectangle whose
+    targets it meets, and the sources up to that rectangle's top source are
+    the ones that reach the set."""
+    origin = min([o for o, _, _ in run])
+    run = [(s << o - origin, t << o - origin) for o, s, t in run]
+    suffix = [run[-1][1]]
+    for _, t in run[-2::-1]:
+        suffix.append(suffix[-1] | t)
+    tops, parts = zip(*[(_top(s), _top(t)) for s, t in run])
+    return origin, 0, run[-1][0], tuple(suffix[::-1]), tops, parts
 
 
 def _coalesce(links: tuple[Link, ...]) -> tuple:
-    """The step form of ``links``: ``Nfa.links`` with families of equal
-    width and targets whose fields line up merged into one, their sources
-    ORed at their offsets, and rectangles in chains (see ``_chain``), so
-    that the links of all copies of a body, or of every part of a nullable
-    concatenation, cost a few big-int operations per step together.
+    """The step form of ``links``: ``Nfa.links`` with rectangles in chains
+    (see ``_chain``) and every other link a family, merged with the
+    families of equal width and targets whose fields line up, their
+    sources ORed at their offsets, so that the links of all copies of a
+    body, or of every part of a concatenation, cost a few big-int
+    operations per step together.  A rectangle in no chain is a family of
+    one field, as wide as its sources and the span of its targets.
     Entries are the ``_field_masks`` of a family, or the ``_chain`` of a
-    run of rectangles, over absolute sets."""
+    run of rectangles, each relative to its origin."""
     families: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     rectangles = []
     for o, w, sources, targets in links:
         if w:
             families.setdefault((w, targets, o % w), []).append((o, sources))
         else:
-            rectangles.append((sources << o, targets << o))
-    steps = []
+            rectangles.append((o, sources, targets))
+    rectangles.sort(  # by absolute lowest source, top source and lowest target
+        key=lambda r: (r[0] + _bottom(r[1]), r[0] + r[1].bit_length(), r[0] + _bottom(r[2]))
+    )
+    steps, run = [], []
+    for rectangle in [*rectangles, None]:
+        if run and (rectangle is None or not _continues(*run[-1], *rectangle)):
+            if len(run) > 1:
+                steps.append(_chain(run))
+            else:
+                o, s, t = run[0]
+                w = max(s.bit_length(), (t >> _bottom(t)).bit_length())
+                families.setdefault((w, t, o % w), []).append((o, s))
+            run = []
+        run.append(rectangle)
     for (w, targets, _), group in families.items():
-        origin, sources = min(group)[0], 0
+        origin, sources = min([o for o, _ in group]), 0
         for o, s in group:
             sources |= s << o - origin
         steps.append(_field_masks((origin, w, sources, targets)))
-    rectangles.sort(key=lambda r: (_bottom(r[0]), r[0].bit_length(), _bottom(r[1])))
-    run, kind = [], 0
-    for s, t in rectangles:
-        if run:
-            kind = _continues(kind, *run[-1], s, t)
-            if not kind:
-                steps.append(_chain(run))
-                run = []
-        run.append((s, t))
-    if run:
-        steps.append(_chain(run))
     return tuple(steps)
 
 
@@ -364,10 +364,10 @@ class Nfa:
     o + (j+1)*w)``, where S meets ``sources << o``, S reaches ``targets <<
     o + j*w``; ``targets`` spans less than w bits, so all fields are spread
     by one multiply.  Read state by state, the links give the follow sets.
-    ``reach`` and ``into`` step through them coalesced (``_coalesce``): the
-    families of all counters of E1 in the reduction are one shift, and the
-    rectangles between the parts of a nullable concatenation, or from the
-    start and a nullable first part, as in ``(a|%) z{64}``, are one chain.
+    ``reach`` and ``into`` step through them coalesced (``_coalesce``),
+    each entry relative to its origin: the counters and the start of E1 in
+    the reduction are one shift, as are the parts of a flat concatenation,
+    and the rectangles between the parts of a nullable one are one chain.
     """
 
     symbols: tuple[Label, ...]
@@ -395,12 +395,12 @@ class Nfa:
                 raise ValueError("link out of range")
             if w and (targets >> low).bit_length() > w:
                 raise ValueError("link targets span its width")
-        # how ``reach`` steps: up to 64 states a table from ``chunk << 8 |
-        # byte`` to the follow union of that byte's states, filled on a miss
-        # (at most 8 * 255 entries); above that the links, coalesced
-        links = _coalesce(self.links) if n > 64 else ()
-        object.__setattr__(self, "_table", {} if n <= 64 else None)
-        object.__setattr__(self, "_links", links)
+        # how ``reach`` steps: a narrow automaton by a table from ``chunk << 8
+        # | byte`` to the follow union of that byte's states, filled on a miss
+        # (at most 8 * 255 entries); a wider one by its links, coalesced
+        narrow = n <= NARROW_STATES
+        object.__setattr__(self, "_table", {} if narrow else None)
+        object.__setattr__(self, "_links", () if narrow else _coalesce(self.links))
         entered: dict[Label, list[int]] = {}
         for q, label in enumerate(self.symbols, 1):
             entered.setdefault(label, []).append(q)
@@ -433,7 +433,7 @@ class Nfa:
             q = states.bit_length() - 1
             return self.follow[q] << self.offsets[q] if q >= 0 else 0
         table = self._table
-        if table is None:  # more than 64 states
+        if table is None:  # more than NARROW_STATES states
             links = self._links
             if not links or states.bit_count() <= len(links):
                 return self._members(states)
@@ -447,7 +447,7 @@ class Nfa:
                         hit = (((hit & low) + low | hit) & high) >> w - 1
                     out |= hit * targets << o
                 else:  # a chain: its lowest source hit picks the targets
-                    out |= targets[bisect_left(low, _bottom(hit))]
+                    out |= targets[bisect_left(low, _bottom(hit))] << o
             return out
         out = key = 0
         while states:
@@ -503,10 +503,10 @@ class Nfa:
                 else:
                     out |= states & (sources & targets >> shift) << o
             else:  # a chain: the sources up to the last rectangle hit
-                hit = targets & ends[0]
+                hit = targets >> o & ends[0]
                 if hit:
                     top = low[bisect_left(high, _top(hit))]
-                    out |= states & sources & (2 << top) - 1
+                    out |= states & (sources & (2 << top) - 1) << o
         return out
 
     def step(self, states, symbol: str) -> frozenset[int]:
@@ -730,8 +730,8 @@ def glushkov(
     """
     order = postorder(e)
     positions = _check_cap(order, cap)
-    *fields, links = position_pass(order, False, positions >= 64, classes)
-    return Nfa(*fields, links if len(fields[0]) >= 64 else ())
+    *fields, links = position_pass(order, False, positions + 1 > NARROW_STATES, classes)
+    return Nfa(*fields, links if len(fields[0]) + 1 > NARROW_STATES else ())
 
 
 # The tree, cap and automaton of the last successful ``automaton`` build.

@@ -180,8 +180,7 @@ def nullable_run(e):
     """A nullable concatenation of ``(e|%)`` parts around a nullable counted
     body of two such parts, padded past 64 states so that its links are
     kept: they coalesce into chains whose sources nest and into merged
-    families.  The other kind of chain, from the start and a nullable first
-    part, comes from ``(e|%) z{64}`` shapes, such as a padded nullable ``e``."""
+    families."""
     part = alt([e, EPSILON])
     body = rep(concat([part, part]), 0, 5)
     return concat([part, body, part, rep(Symbol("z"), 64, 64)])

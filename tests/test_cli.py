@@ -133,6 +133,14 @@ class TestMemberCommand:
         code, out, err = run_guarded(*argv, seconds=10, memory=256 << 20)
         assert (code, out, err) == (0, "true\n", "")
 
+    def test_flat_concatenation_in_linear_memory(self, tmp_path):
+        # the links of 80,000 parts coalesce into one shift: stored
+        # absolute, one per part, they took about 1.7 GB
+        path = tmp_path / "expr.txt"
+        path.write_text("a " * 80_000)
+        code, out, err = run_guarded("member", f"@{path}", "a", seconds=10, memory=256 << 20)
+        assert (code, out, err) == (1, "false\n", "")
+
 
 class TestEnumerateCommand:
     def test_lists_words(self, capsys):
@@ -368,7 +376,7 @@ class TestReductionCommands:
 
     def test_partition_at_n_10000_in_bounded_time(self, tmp_path):
         # spelling the witness on E1's 30,001 states steps its links, one
-        # shift and two chains, rather than the follow sets of its members
+        # shift and one chain, rather than the follow sets of its members
         path = tmp_path / "w.txt"
         path.write_text("20 " * 1000 + "\n")
         code, out, err = run_guarded("partition", str(path), seconds=10)

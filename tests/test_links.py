@@ -21,6 +21,7 @@ from conftest import expressions, follow_into, follow_union, nullable_run
 from crekit.decision import _spell
 from crekit.engine import (
     Nfa,
+    _bottom,
     _expansion_sizes,
     automaton,
     bits,
@@ -32,7 +33,7 @@ from crekit.partition import PartitionInstance, build_expressions
 from crekit.syntax import Symbol, alphabet_of, concat, parse_expr, postorder, rep
 
 # E1 of the reduction, with weight-1 items and with k = 1: one merged family
-# for its counters, one chain for its nullable items, and the start
+# for its counters and the start, and one chain for its nullable items
 E1_WEIGHTS = [(23, 3, 18, 1, 22, 19, 32, 2), (1,) * 44, (1, 1, 40, 2), (44,), (20,) * 9]
 E1S = [build_expressions(PartitionInstance(w))[0] for w in E1_WEIGHTS]
 # nullable sequences, whose rectangles coalesce into chains
@@ -57,6 +58,8 @@ SHAPES = [
     ),
     *NULLABLE,
     *E1S,
+    # the start and a nullable first part: disjoint sources, nested targets
+    *map(parse_expr, ["(a|%) z{64}", "(x|y){0,260} z"]),
 ]
 
 
@@ -150,13 +153,15 @@ def test_link_step_equals_reach_on_random_expressions(e, seed):
 
 
 def test_dense_sets_take_the_links_and_sparse_ones_the_member_loop():
-    nfa = glushkov(parse_expr("a{0,200}"))
+    nfa = glushkov(E1S[1])  # one shift and one chain
+    assert len(nfa._links) == 2
     # the same links over follow masks that are all empty
     n = nfa.state_count
     blank = Nfa(nfa.symbols, nfa.offsets, (0,) * n, nfa.accepting, nfa.links)
     full = (1 << n) - 1
     assert blank.reach(full) == follow_union(nfa, full) != 0
-    assert blank.reach(0b110) == 0
+    # two states, no more than the coalesced links: the member loop
+    assert blank.reach(0b110) == 0 != follow_union(nfa, 0b110)
 
 
 def test_bad_links_are_rejected():
@@ -182,22 +187,44 @@ def test_bad_links_are_rejected():
 def test_e1_and_nullable_chains_coalesce_into_few_links():
     for weights, e in zip(E1_WEIGHTS, E1S):
         nfa = automaton(e)
-        assert len(nfa.links) > len(weights) + 1 and len(nfa._links) == 3
+        # one shift, and one chain for the items when there are two or more
+        assert len(nfa.links) > len(weights) + 1
+        assert len(nfa._links) == (2 if len(weights) > 1 else 1)
     for u in (80, 800):
         for body in ("a", "a|b", "a b c"):
             nfa = glushkov(parse_expr(f"({body}|%){{0,{u}}}"))
-            # the copies link by one family; "a b c" keeps its two families
+            # the copies link by one family; "a b c" keeps its two families,
+            # and over "a" the start's link joins the copies' shift
             rectangles = sum(1 for link in nfa.links if not link[1])
-            assert rectangles == 1 and len(nfa._links) == len(nfa.links)
-    for text in ["(a b|%) (c d e|%) (f|%)", "(a|%)"]:  # nullable sequences chain
+            assert rectangles == 1
+            assert len(nfa._links) == len(nfa.links) - (body == "a")
+    for text in ["(a b|%) (c d e|%) (f|%)", "(a|%)"]:  # nullable sequences coalesce
         nfa = glushkov(_padded(parse_expr(text)))
         assert len(nfa._links) < len(nfa.links)
 
 
 def test_nullable_copies_keep_a_fixed_number_of_links():
-    # one family for the copies and the start, however many copies
+    # one family for the copies and the start, however many copies, and
+    # one coalesced entry: the start's link merges into the copies' shift
     for u in (65, 100, 1000, 20_000):
-        assert len(glushkov(parse_expr(f"(a|%){{0,{u}}}"), cap=10**6).links) == 2
+        nfa = glushkov(parse_expr(f"(a|%){{0,{u}}}"), cap=10**6)
+        assert len(nfa.links) == 2 and len(nfa._links) == 1
+
+
+def _entry_bits(nfa) -> int:
+    """The bits of every int in the coalesced links."""
+    ints = [x for entry in nfa._links for f in entry for x in (f if type(f) is tuple else (f,))]
+    return sum(x.bit_length() for x in ints)
+
+
+def test_flat_concatenation_is_one_shift_in_linear_bits():
+    # each part's link and the start's are one-field families that line up
+    sizes = {}
+    for n in (1_000, 10_000):
+        nfa = glushkov(parse_expr(" ".join("abc"[i % 3] for i in range(n))))
+        assert len(nfa._links) <= 2
+        sizes[n] = _entry_bits(nfa)
+    assert sizes[10_000] <= 12 * sizes[1_000]
 
 
 def _near_chain(rng: random.Random, n: int) -> list[tuple[int, int]]:
@@ -227,11 +254,14 @@ def _near_chain(rng: random.Random, n: int) -> list[tuple[int, int]]:
 @given(st.integers(0, 2**32))
 def test_coalescing_keeps_rectangles_that_break_the_chain_rules(seed):
     rng, n = random.Random(seed), 70
-    links = [(0, 0, s, t) for _ in range(3) for s, t in _near_chain(rng, n)]
+    links = []
+    for s, t in [r for _ in range(3) for r in _near_chain(rng, n)]:
+        o = rng.randint(0, min(_bottom(s), _bottom(t)))  # sets relative to o
+        links.append((o, 0, s >> o, t >> o))
     follow = [0] * n
-    for _, _, sources, targets in links:
-        for q in bits(sources):
-            follow[q] |= targets
+    for o, _, sources, targets in links:
+        for q in bits(sources << o):
+            follow[q] |= targets << o
     offsets = [(f & -f).bit_length() - 1 if f else 0 for f in follow]
     shifted = [f >> o for f, o in zip(follow, offsets)]
     nfa = Nfa(("a",) * (n - 1), tuple(offsets), tuple(shifted), 0, tuple(links))
