@@ -39,19 +39,19 @@ alternation of distinct bare symbols, such as ``(a0|a1|...|ak)`` in the
 reduction's right side, one class position entered on each of them (the
 predicate-labelled state of symbolic automata: Veanes, de Halleux and
 Tillmann, "Rex", ICST 2010), so its subsets are k + 1 times narrower.
-An automaton of more than 64 states also keeps the links the pass adds as
-data, ``Nfa.links``: rectangles, and strided families that stand for all
-copies of a body at once (Chang and Paige, "From regular expressions to
-DFA's using compressed NFA's", TCS 1997).  It coalesces them once built:
-a run of rectangles over a nullable sequence is one chain, and every other
-link a family, merged with those whose fields line up.
+An automaton of more than 64 states is also given the links the pass adds:
+rectangles, and strided families that stand for all copies of a body at
+once (Chang and Paige, "From regular expressions to DFA's using compressed
+NFA's", TCS 1997).  It keeps them only coalesced, each entry linear in
+size: a run of rectangles over a nullable sequence is one chain, and every
+other link a family, merged with those whose fields line up.
 ``Nfa.reach`` is the one subset step of membership, enumeration and every
-decision: it steps dense subsets through the coalesced links, and subsets
-of at most 64 states through a byte table kept on the automaton;
-``Nfa.into`` reads the same links backwards.  Every tree walk here
-evaluates the node tuple of ``syntax.postorder`` instead of recursing, and
-that walk is remembered for the last tree, so the build, the length fold
-and the unambiguity check of one tree share it.
+decision: a set of one state reads its follow mask, a larger one steps
+through the coalesced links, or through a byte table kept on an automaton
+of at most 64 states; ``Nfa.into`` reads the same links backwards.  Every
+tree walk here evaluates the node tuple of ``syntax.postorder`` instead of
+recursing, and that walk is remembered for the last tree, so the build,
+the length fold and the unambiguity check of one tree share it.
 
 ``automaton(e, cap)`` is the one place that calls ``glushkov``, with class
 positions, and every query on a tree (``member``, ``language_iter``,
@@ -71,8 +71,8 @@ lexemes, with the empty word written ``%``.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import InitVar, dataclass, field
 
 from .errors import ExpansionCapExceeded, ExprSyntaxError, ResultTooLarge
 from .syntax import (
@@ -281,28 +281,27 @@ def _continues(o0: int, s0: int, t0: int, o: int, s: int, t: int) -> bool:
     return s >> b & (2 << _top(s0)) - 1 == s0
 
 
-def _chain(run: list[tuple[int, int, int]]) -> tuple[int, int, int, tuple, tuple, tuple]:
+def _chain(run: list[tuple[int, int, int]]) -> tuple[int, int, int, int, tuple, tuple]:
     """One step entry for a run of rectangles ``(origin, sources, targets)``
-    in a chain (see ``_continues``), relative to the lowest origin.
+    in a chain (see ``_continues``), relative to the lowest origin: the
+    last sources, the union of the targets, and the top source and lowest
+    target of each rectangle, so it holds O(span + rectangles) bits.
 
     A set meets every rectangle from the first that holds its lowest
-    source hit, j, found by bisecting ``tops``, the top source of each
-    rectangle, and reaches ``suffix[j]``, the union of the targets from j
-    on.  Read backwards, the top target a set hits, bisected in ``parts``,
-    the top target of each rectangle, names the last rectangle whose
-    targets it meets, and the sources up to that rectangle's top source are
-    the ones that reach the set."""
+    source hit, j, found by bisecting ``tops``, and reaches the targets
+    from j on: as they are disjoint and ascending, the union with the bits
+    below ``lows[j]`` cleared.  Read backwards, the top target a set hits,
+    bisected in ``lows``, names the last rectangle whose targets it meets,
+    and the sources up to that rectangle's top source reach the set."""
     origin = min([o for o, _, _ in run])
     run = [(s << o - origin, t << o - origin) for o, s, t in run]
-    suffix = [run[-1][1]]
-    for _, t in run[-2::-1]:
-        suffix.append(suffix[-1] | t)
-    tops, parts = zip(*[(_top(s), _top(t)) for s, t in run])
-    return origin, 0, run[-1][0], tuple(suffix[::-1]), tops, parts
+    union = sum([t for _, t in run])  # of disjoint targets
+    tops, lows = zip(*[(_top(s), _bottom(t)) for s, t in run])
+    return origin, 0, run[-1][0], union, tops, lows
 
 
 def _coalesce(links: tuple[Link, ...]) -> tuple:
-    """The step form of ``links``: ``Nfa.links`` with rectangles in chains
+    """The step form of ``links`` (see ``Nfa``): rectangles in chains
     (see ``_chain``) and every other link a family, merged with the
     families of equal width and targets whose fields line up, their
     sources ORed at their offsets, so that the links of all copies of a
@@ -356,29 +355,29 @@ class Nfa:
     by the one subset step that every walk takes (see ``reach``); ``into``
     is its backward test.  No other module reads the follow storage.
 
-    ``links``, recorded only for automata of more than 64 states, is the
-    follow relation as the pass built it (Chang and Paige's compressed
-    form).  A link ``(o, w, sources, targets)`` with width 0 is a
-    rectangle: a set S meeting ``sources << o`` reaches ``targets << o``.
-    With width w it is a strided family: for each field j, bits ``[o + j*w,
-    o + (j+1)*w)``, where S meets ``sources << o``, S reaches ``targets <<
-    o + j*w``; ``targets`` spans less than w bits, so all fields are spread
-    by one multiply.  Read state by state, the links give the follow sets.
-    ``reach`` and ``into`` step through them coalesced (``_coalesce``),
-    each entry relative to its origin: the counters and the start of E1 in
-    the reduction are one shift, as are the parts of a flat concatenation,
-    and the rectangles between the parts of a nullable one are one chain.
+    ``links``, constructor input only, is the follow relation as the pass
+    built it (Chang and Paige's compressed form).  A link ``(o, w, sources,
+    targets)`` with width 0 is a rectangle: a set S meeting ``sources <<
+    o`` reaches ``targets << o``.  With width w it is a strided family: for
+    each field j, bits ``[o + j*w, o + (j+1)*w)``, where S meets ``sources
+    << o``, S reaches ``targets << o + j*w``; ``targets`` spans less than w
+    bits, so all fields are spread by one multiply.  Read state by state,
+    the links give the follow sets.  An automaton of more than 64 states
+    keeps them only coalesced (``_coalesce``), each entry relative to its
+    origin and linear in size: the counters and the start of E1 in the
+    reduction are one shift, as are the parts of a flat concatenation, and
+    the rectangles between the parts of a nullable one are one chain.
     """
 
     symbols: tuple[Label, ...]
     offsets: tuple[int, ...]
     follow: tuple[int, ...]
     accepting: int
-    links: tuple[Link, ...] = field(default=(), repr=False, compare=False)
+    links: InitVar[tuple[Link, ...]] = ()
     # symbol -> the set of states entered on it
     symbol_masks: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, links):
         n = len(self.symbols) + 1
         if len(self.offsets) != n or len(self.follow) != n:
             raise ValueError("need one follow set per state")
@@ -387,7 +386,7 @@ class Nfa:
                 raise ValueError("follow state out of range")
         if not 0 <= self.accepting < 1 << n:
             raise ValueError("accepting state out of range")
-        for o, w, sources, targets in self.links:
+        for o, w, sources, targets in links:
             low = (targets & -targets).bit_length() - 1
             top = o + (w and (sources.bit_length() - 1) // w * w)  # the last field
             inside = max(o + sources.bit_length(), top + targets.bit_length()) <= n
@@ -400,7 +399,7 @@ class Nfa:
         # (at most 8 * 255 entries); a wider one by its links, coalesced
         narrow = n <= NARROW_STATES
         object.__setattr__(self, "_table", {} if narrow else None)
-        object.__setattr__(self, "_links", () if narrow else _coalesce(self.links))
+        object.__setattr__(self, "_links", () if narrow else _coalesce(links))
         entered: dict[Label, list[int]] = {}
         for q, label in enumerate(self.symbols, 1):
             entered.setdefault(label, []).append(q)
@@ -419,26 +418,24 @@ class Nfa:
         """Union of the follow sets of ``states``: the one subset step.
 
         The automaton picks how.  A set of at most one state reads its
-        follow set.  Up to 64 states, a set ORs one entry per nonzero byte
-        from a table of the follow union of each byte at each byte position
-        (the Four-Russians table of Myers, 1992), filled on a miss, as the
-        bytes of subsets mostly repeat.  Above that, a set with more members
-        than the automaton has coalesced links steps through them, in a few
-        big-int operations per link (the bit-vector form of Le Glaunec, Kong
-        and Mamouras, OOPSLA 2023; see ``_coalesce``), however many copies
-        or parts a link stands for.  Any other set ORs the follow set of
-        each member.
+        follow set.  Up to 64 states, a larger set ORs one entry per nonzero
+        byte from a table of the follow union of each byte at each byte
+        position (the Four-Russians table of Myers, 1992), filled on a miss,
+        as the bytes of subsets mostly repeat.  Above that, it steps
+        through the coalesced links, in a few big-int operations per link
+        (the bit-vector form of Le Glaunec, Kong and Mamouras, OOPSLA 2023;
+        see ``_coalesce``), however many copies or parts a link stands for,
+        or ORs the follow set of each member if the automaton has no links.
         """
         if not states & (states - 1):  # at most one state: no bit loop
             q = states.bit_length() - 1
             return self.follow[q] << self.offsets[q] if q >= 0 else 0
         table = self._table
         if table is None:  # more than NARROW_STATES states
-            links = self._links
-            if not links or states.bit_count() <= len(links):
+            if not self._links:
                 return self._members(states)
             out = 0
-            for o, w, sources, targets, low, high in links:
+            for o, w, sources, targets, low, high in self._links:
                 hit = (states >> o if o else states) & sources
                 if not hit:
                     continue
@@ -446,8 +443,9 @@ class Nfa:
                     if w > 1:
                         hit = (((hit & low) + low | hit) & high) >> w - 1
                     out |= hit * targets << o
-                else:  # a chain: its lowest source hit picks the targets
-                    out |= targets[bisect_left(low, _bottom(hit))] << o
+                else:  # a chain: its lowest source hit cuts the targets
+                    cut = high[bisect_left(low, _bottom(hit))]
+                    out |= targets >> cut << cut + o
             return out
         out = key = 0
         while states:
@@ -475,15 +473,15 @@ class Nfa:
     def into(self, states: int, targets: int) -> int:
         """The members of ``states`` whose follow set meets ``targets``.
 
-        Above 64 states, a set with more members than the automaton has
-        coalesced links reads them backwards: a family keeps the sources of
-        the fields whose targets meet ``targets``, found by the carry of
-        ``reach``, and a chain keeps its sources up to the top one of the
-        last rectangle whose targets meet ``targets`` (see ``_chain``).  Any
-        other set tests the follow set of each member.
+        Above 64 states, a set of two or more reads the coalesced links
+        backwards: a family keeps the sources of the fields whose targets
+        meet ``targets``, found by the carry of ``reach``, and a chain its
+        sources up to the top one of the last rectangle whose targets meet
+        them (see ``_chain``).  Any other set tests the follow set of each
+        member.
         """
         links, out = self._links, 0
-        if not links or states.bit_count() <= len(links):
+        if not links or not states & (states - 1):
             follow, offsets = self.follow, self.offsets
             while states:  # the loop of ``_members``
                 low = states & -states
@@ -503,9 +501,9 @@ class Nfa:
                 else:
                     out |= states & (sources & targets >> shift) << o
             else:  # a chain: the sources up to the last rectangle hit
-                hit = targets >> o & ends[0]
+                hit = targets >> o & ends
                 if hit:
-                    top = low[bisect_left(high, _top(hit))]
+                    top = low[bisect_right(high, _top(hit)) - 1]
                     out |= states & (sources & (2 << top) - 1) << o
         return out
 
@@ -524,6 +522,9 @@ class Nfa:
             if not current:
                 return False
         return bool(current & self.accepting)
+
+
+del Nfa.links  # the InitVar's default: links are constructor input only
 
 
 # --- the position pass -------------------------------------------------------
@@ -717,8 +718,8 @@ def glushkov(
     language, but its first and follow sets shrink.
     Raises ExpansionCapExceeded exactly when ``expand(e, cap)`` would,
     before anything is built.  The positions counted with the nodes decide
-    whether the pass records links, and the automaton keeps them,
-    ``Nfa.links``, when it has more than 64 states.
+    whether the pass records links, and the automaton keeps them
+    coalesced when it has more than 64 states (see ``Nfa``).
 
     With ``classes`` each alternation of distinct bare symbols is one
     position (see ``position_pass``), so the automaton may have fewer
@@ -730,8 +731,7 @@ def glushkov(
     """
     order = postorder(e)
     positions = _check_cap(order, cap)
-    *fields, links = position_pass(order, False, positions + 1 > NARROW_STATES, classes)
-    return Nfa(*fields, links if len(fields[0]) + 1 > NARROW_STATES else ())
+    return Nfa(*position_pass(order, False, positions + 1 > NARROW_STATES, classes))
 
 
 # The tree, cap and automaton of the last successful ``automaton`` build.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from crekit import decision
+from crekit.engine import position_pass
 from crekit.syntax import (
     EPSILON,
     Concat,
@@ -136,6 +137,12 @@ def follow_union(nfa, states: int) -> int:
         if states >> q & 1:
             out |= nfa.follow[q] << nfa.offsets[q]
     return out
+
+
+def raw_links(e, classes: bool = False) -> tuple:
+    """The links the position pass records for ``e``.  An ``Nfa`` takes
+    them as constructor input and keeps them only coalesced."""
+    return position_pass(postorder(e), False, True, classes)[4]
 
 
 def follow_into(nfa, states: int, targets: int) -> int:

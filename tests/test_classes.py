@@ -152,9 +152,9 @@ def test_links_follow_the_merged_count():
     _, e2 = build_expressions(PartitionInstance((8, 8, 8)))
     plain, merged = glushkov(e2), automaton(e2)
     assert (plain.state_count, merged.state_count) == (193, 49)
-    assert plain.links and merged.links == ()
+    assert plain._links and merged._links == ()
     wide = automaton(build_expressions(PartitionInstance((20,) * 3))[1])
-    assert wide.state_count == 121 and wide.links
+    assert wide.state_count == 121 and wide._links
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,16 @@
 """The links of the position pass, and the subset step through them.
 
-``Nfa.links`` restates the follow relation in compressed form: rectangles
-and strided families (see ``crekit.engine.Nfa``).  The reading here takes
-each link apart bit by bit, with none of the add-and-multiply tricks of
-``Nfa.reach``, and must give back every follow set exactly.  ``Nfa.reach``
-and ``Nfa.into`` are then checked against the follow sets read one state
-at a time on dense subsets, where they step through the coalesced links
-(merged families and chains of rectangles), and on sets of a few states,
-which take the member loop; ``decision._spell`` is checked against a
-spelling on those follow sets.
+The links the pass records restate the follow relation in compressed
+form: rectangles and strided families (see ``crekit.engine.Nfa``).  An
+``Nfa`` takes them as constructor input and keeps them only coalesced, so
+the tests read them from the pass (``conftest.raw_links``).  The reading
+here takes each link apart bit by bit, with none of the add-and-multiply
+tricks of ``Nfa.reach``, and must give back every follow set exactly.
+``Nfa.reach`` and ``Nfa.into`` are then checked against the follow sets
+read one state at a time on dense subsets and on sets of a few states:
+every set of two or more states steps through the coalesced links (merged
+families and chains of rectangles).  ``decision._spell`` is checked
+against a spelling on those follow sets.
 """
 
 import random
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expressions, follow_into, follow_union, nullable_run
+from conftest import expressions, follow_into, follow_union, nullable_run, raw_links
 from crekit.decision import _spell
 from crekit.engine import (
     Nfa,
@@ -68,10 +70,10 @@ def _padded(e):
     return concat([e, rep(Symbol("z"), 64, 64)])
 
 
-def _read_links(nfa) -> list[int]:
-    """The follow set of every state, read from ``nfa.links`` bit by bit."""
-    out = [0] * nfa.state_count
-    for o, w, sources, targets in nfa.links:
+def _read_links(links, n: int) -> list[int]:
+    """The follow set of each of n states, read from ``links`` bit by bit."""
+    out = [0] * n
+    for o, w, sources, targets in links:
         for q in bits(sources << o):
             field = o + (q - o) // w * w if w else o
             out[q] |= targets << field
@@ -82,11 +84,11 @@ def _check_links(e) -> None:
     nfa = glushkov(e, cap=10**6)
     assert _expansion_sizes(postorder(e))[1] == nfa.state_count - 1
     recorded = nfa.state_count > 64  # only where the search can use them
-    assert bool(nfa.links) == recorded
+    assert bool(nfa._links) == recorded
     assert position_pass(postorder(e), counter_blind=True)[4] == ()
     if recorded:
         want = [f << o for f, o in zip(nfa.follow, nfa.offsets)]
-        assert _read_links(nfa) == want
+        assert _read_links(raw_links(e), nfa.state_count) == want
 
 
 @pytest.mark.parametrize("e", SHAPES, ids=range(len(SHAPES)))
@@ -107,8 +109,8 @@ def test_copies_compress_into_one_family():
     # the inner copies, the copy-to-copy links and the start: three links
     # whatever the counts, since the inner fields line up in every outer copy
     for e in SHAPES[1:3]:
-        assert len(glushkov(e).links) == 3
-    assert len(glushkov(parse_expr("((a|b){1,80}){1,80}")).links) == 3
+        assert len(raw_links(e)) == 3
+    assert len(raw_links(parse_expr("((a|b){1,80}){1,80}"))) == 3
 
 
 def _dense(n: int, rng: random.Random) -> list[int]:
@@ -121,14 +123,15 @@ def _dense(n: int, rng: random.Random) -> list[int]:
 
 
 def _sparse(n: int, rng: random.Random) -> list[int]:
-    """Sets of one to three states, which take the member loop."""
+    """Sets of one to three states: one reads its follow mask, and two or
+    three step through the links."""
     return [sum(1 << q for q in rng.sample(range(n), k)) for k in (1, 2, 3) * 5]
 
 
 def _check_coalesced(nfa, rng: random.Random) -> None:
     n = nfa.state_count
     subsets = _dense(n, rng) + _sparse(n, rng)
-    assert any(s.bit_count() > len(nfa._links) for s in subsets)
+    assert any(s & (s - 1) for s in subsets)  # sets that take the links
     for states in subsets:
         assert nfa.reach(states) == follow_union(nfa, states), bin(states)
         for targets in (rng.getrandbits(n), 1 << rng.randrange(n), states):
@@ -138,10 +141,11 @@ def _check_coalesced(nfa, rng: random.Random) -> None:
 
 @pytest.mark.parametrize("e", SHAPES, ids=range(len(SHAPES)))
 def test_link_step_equals_reach_on_dense_subsets(e):
-    for nfa in (glushkov(e), glushkov(_padded(e))):
+    for x in (e, _padded(e)):
+        nfa = glushkov(x)
         if nfa.state_count <= 64:
             continue
-        assert nfa._table is None and 0 < len(nfa._links) <= len(nfa.links)
+        assert nfa._table is None and 0 < len(nfa._links) <= len(raw_links(x))
         _check_coalesced(nfa, random.Random(nfa.state_count))
 
 
@@ -152,22 +156,34 @@ def test_link_step_equals_reach_on_random_expressions(e, seed):
         _check_coalesced(nfa, random.Random(seed))
 
 
-def test_dense_sets_take_the_links_and_sparse_ones_the_member_loop():
+def test_one_state_reads_its_mask_and_more_take_the_links():
     nfa = glushkov(E1S[1])  # one shift and one chain
     assert len(nfa._links) == 2
     # the same links over follow masks that are all empty
     n = nfa.state_count
-    blank = Nfa(nfa.symbols, nfa.offsets, (0,) * n, nfa.accepting, nfa.links)
+    blank = Nfa(nfa.symbols, nfa.offsets, (0,) * n, nfa.accepting, raw_links(E1S[1]))
     full = (1 << n) - 1
     assert blank.reach(full) == follow_union(nfa, full) != 0
-    # two states, no more than the coalesced links: the member loop
-    assert blank.reach(0b110) == 0 != follow_union(nfa, 0b110)
+    # one state reads its (blank) follow mask; two step through the links
+    assert blank.reach(0b10) == 0 != follow_union(nfa, 0b10)
+    assert blank.reach(0b110) == follow_union(nfa, 0b110) != 0
+    assert blank.into(0b110, full) == follow_into(nfa, 0b110, full) != 0
+
+
+def test_a_wide_automaton_keeps_no_raw_links():
+    for e in SHAPES:
+        nfa = glushkov(_padded(e))
+        assert "links" not in vars(nfa) and nfa._links
+    with pytest.raises(AttributeError):
+        nfa.links
 
 
 def test_bad_links_are_rejected():
     good = glushkov(parse_expr("a{0,3}"))  # states 0..3, each followed by the next
     fields = (good.symbols, good.offsets, good.follow, good.accepting)
-    assert Nfa(*fields, ((0, 0, 1, 0b10), (1, 1, 0b11, 0b10))).links
+    links = raw_links(parse_expr("a{0,3}"))
+    assert sorted(links) == [(0, 0, 1, 0b10), (1, 1, 0b11, 0b10)]
+    Nfa(*fields, links)  # accepted
     for link in [
         (0, 0, 1, 0b10000),  # a target past the last state
         (0, 0, 0b10000, 0b10),  # a source past the last state
@@ -188,27 +204,29 @@ def test_e1_and_nullable_chains_coalesce_into_few_links():
     for weights, e in zip(E1_WEIGHTS, E1S):
         nfa = automaton(e)
         # one shift, and one chain for the items when there are two or more
-        assert len(nfa.links) > len(weights) + 1
+        assert len(raw_links(e, classes=True)) > len(weights) + 1
         assert len(nfa._links) == (2 if len(weights) > 1 else 1)
     for u in (80, 800):
         for body in ("a", "a|b", "a b c"):
-            nfa = glushkov(parse_expr(f"({body}|%){{0,{u}}}"))
+            e = parse_expr(f"({body}|%){{0,{u}}}")
+            nfa, links = glushkov(e), raw_links(e)
             # the copies link by one family; "a b c" keeps its two families,
             # and over "a" the start's link joins the copies' shift
-            rectangles = sum(1 for link in nfa.links if not link[1])
+            rectangles = sum(1 for link in links if not link[1])
             assert rectangles == 1
-            assert len(nfa._links) == len(nfa.links) - (body == "a")
+            assert len(nfa._links) == len(links) - (body == "a")
     for text in ["(a b|%) (c d e|%) (f|%)", "(a|%)"]:  # nullable sequences coalesce
-        nfa = glushkov(_padded(parse_expr(text)))
-        assert len(nfa._links) < len(nfa.links)
+        e = _padded(parse_expr(text))
+        assert len(glushkov(e)._links) < len(raw_links(e))
 
 
 def test_nullable_copies_keep_a_fixed_number_of_links():
     # one family for the copies and the start, however many copies, and
     # one coalesced entry: the start's link merges into the copies' shift
     for u in (65, 100, 1000, 20_000):
-        nfa = glushkov(parse_expr(f"(a|%){{0,{u}}}"), cap=10**6)
-        assert len(nfa.links) == 2 and len(nfa._links) == 1
+        e = parse_expr(f"(a|%){{0,{u}}}")
+        nfa = glushkov(e, cap=10**6)
+        assert len(raw_links(e)) == 2 and len(nfa._links) == 1
 
 
 def _entry_bits(nfa) -> int:
@@ -225,6 +243,26 @@ def test_flat_concatenation_is_one_shift_in_linear_bits():
         assert len(nfa._links) <= 2
         sizes[n] = _entry_bits(nfa)
     assert sizes[10_000] <= 12 * sizes[1_000]
+
+
+@pytest.mark.parametrize(
+    "make,n",
+    [
+        (lambda m: build_expressions(PartitionInstance((20,) * m))[0], 50),  # E1
+        (lambda m: parse_expr(" ".join(["(a|%)"] * m)), 500),
+    ],
+    ids=["e1", "nullable_parts"],
+)
+def test_chains_keep_linear_bits(make, n):
+    # a chain keeps one union of its targets and a lowest target per
+    # rectangle, so its bits grow about 4x from n to 4n rectangles, where a
+    # union per rectangle would grow about 16x
+    sizes = []
+    for m in (n, 4 * n):
+        nfa = glushkov(make(m), cap=10**6)
+        assert len(nfa._links) == 2  # one shift and one chain
+        sizes.append(_entry_bits(nfa))
+    assert sizes[1] <= 6 * sizes[0], sizes
 
 
 def _near_chain(rng: random.Random, n: int) -> list[tuple[int, int]]:

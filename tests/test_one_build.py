@@ -9,10 +9,12 @@ of crekit with ``ast`` and lists every call of either name, as ``f(...)``
 or ``x.f(...)``, with the function that makes it.
 
 Only ``engine`` knows how an automaton stores its follow sets: shifted
-masks in ``follow`` and ``offsets``, and ``links``.  Every other module
-steps subsets through ``Nfa.reach`` and ``Nfa.into``, so a change of
-storage or of the step stays inside ``engine``.  The same kind of guard
-lists every read of those attributes, as ``x.follow``, outside it.
+masks in ``follow`` and ``offsets``, coalesced links in ``_links`` and a
+byte table in ``_table``.  The raw ``links`` are constructor input only.
+Every other module steps subsets through ``Nfa.reach`` and ``Nfa.into``,
+so a change of storage or of the step stays inside ``engine``.  The same
+kind of guard lists every read of those attributes, as ``x.follow``,
+outside it.
 
 ``syntax.postorder`` remembers the last tree it walked in the same way,
 so a query that parses a text and then renders it, checks unambiguity,
@@ -35,7 +37,7 @@ from crekit import syntax
 SRC = Path(crekit.__file__).parent
 TESTS = Path(__file__).parent
 BUILDERS = ("expand", "glushkov")
-STORAGE = ("follow", "offsets", "links")
+STORAGE = ("follow", "offsets", "links", "_links", "_table")
 # oracle -> the crekit module it checks, and must not import from
 ORACLES = {"oracle.py": "crekit.decision", "position_oracle.py": "crekit.engine"}
 

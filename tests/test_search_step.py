@@ -1,12 +1,13 @@
 """The one subset step, ``Nfa.reach``, and the search families it speeds up.
 
-``Nfa.reach`` steps up to 64 states through a table of follow unions per
-byte of a subset, kept on the automaton; above that through the
-automaton's coalesced links (``tests/test_links.py`` checks them on wide
-shapes), and with the member loop for a wide automaton without links.  The
-property tests pin it, and ``Nfa.into``, to the follow sets read one state
-at a time on every side of that scope, also on nullable concatenations,
-whose links coalesce into chains.  The family tests take their answers
+``Nfa.reach`` reads the follow mask of a set of one state.  It steps a
+larger set up to 64 states through a table of follow unions per byte of a
+subset, kept on the automaton; above that through the automaton's
+coalesced links (``tests/test_links.py`` checks them on wide shapes), and
+with the member loop for a wide automaton without links.  The property
+tests pin it, and ``Nfa.into``, to the follow sets read one state at a
+time on every side of that scope, also on nullable concatenations, whose
+links coalesce into chains.  The family tests take their answers
 from ``tests/oracle.py``, which shares no code with the search, and the
 guard checks what queries leave on the automaton that ``crekit.automaton``
 remembers: a bounded table and nothing else.
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crekit
-from conftest import expressions, follow_into, follow_union, nullable_run
+from conftest import expressions, follow_into, follow_union, nullable_run, raw_links
 from crekit.decision import equivalent, includes, overlaps
 from crekit.engine import Nfa, glushkov
 from crekit.syntax import parse_expr, rep
@@ -39,10 +40,11 @@ def _subsets(n: int, rng: random.Random) -> list[int]:
 TABLE_ENTRIES = 8 * 255  # a nonzero byte at each of the 8 byte positions
 
 
-def _check_step(nfa, seed: int) -> None:
+def _check_step(nfa, seed: int, links: tuple) -> None:
+    """Check ``nfa``, built from ``links``, against ``follow_union``."""
     # the table up to 64 states, the links above, and the member loop without links
     assert (nfa._table is None) == (nfa.state_count > 64)
-    assert bool(nfa._links) == (nfa.state_count > 64 and bool(nfa.links))
+    assert bool(nfa._links) == (nfa.state_count > 64 and bool(links))
     filled = None
     for _ in range(2):  # the second round reads the table the first one filled
         for states in _subsets(nfa.state_count, random.Random(seed)):
@@ -56,18 +58,21 @@ def _check_step(nfa, seed: int) -> None:
 @settings(max_examples=150, deadline=None)
 @given(expressions(), st.integers(0, 2**32))
 def test_step_equals_reach_on_random_expressions(e, seed):
-    _check_step(glushkov(e), seed)
-    _check_step(glushkov(nullable_run(e)), seed)  # coalesced links
+    _check_step(glushkov(e), seed, raw_links(e))
+    run = nullable_run(e)
+    _check_step(glushkov(run), seed, raw_links(run))  # coalesced links
 
 
 def test_step_equals_reach_across_the_table_scope():
     for u, states in ((62, 63), (63, 64), (64, 65)):
-        nfa = glushkov(parse_expr(f"a{{0,{u}}}"))
+        e = parse_expr(f"a{{0,{u}}}")
+        nfa = glushkov(e)
         assert nfa.state_count == states
         for seed in range(5):
-            _check_step(nfa, seed)
-    _check_step(Nfa(nfa.symbols, nfa.offsets, nfa.follow, nfa.accepting), 0)
-    _check_step(glushkov(parse_expr("(a|b){0,20} c (a|b|c){0,10}")), 0)
+            _check_step(nfa, seed, raw_links(e))
+    _check_step(Nfa(nfa.symbols, nfa.offsets, nfa.follow, nfa.accepting), 0, ())
+    e = parse_expr("(a|b){0,20} c (a|b|c){0,10}")
+    _check_step(glushkov(e), 0, raw_links(e))
 
 
 @settings(max_examples=150, deadline=None)
